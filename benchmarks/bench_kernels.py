@@ -73,7 +73,6 @@ def bench_end_to_end() -> None:
 
     print()
     print("end-to-end: commutativity-preservation verdict, qutrit isotropic channel")
-    print("(full default budget: the objective is flat, so every start runs)")
     channel = None
     for bname, mod in BACKENDS:
         # route the active kernel table through this backend
@@ -89,7 +88,7 @@ def bench_end_to_end() -> None:
         )
         dt = time.perf_counter() - t0
         print(f"  {bname:9s}: {dt * 1e3:8.1f} ms  (preserving={verdict.preserving}, "
-              f"evals={verdict.evals})")
+              f"evals/budget={verdict.evals}/{verdict.budget})")
 
 
 if __name__ == "__main__":

@@ -182,6 +182,7 @@ def msf_to_json(r: MsfResult) -> dict:
         "fidelity": r.fidelity,
         "unitary": matrix_to_json(r.unitary),
         "evals": r.evals,
+        "converged": r.converged,
     }
 
 

@@ -340,6 +340,30 @@ class TestMsf:
         expected = (np.sqrt(0.9) + np.sqrt(0.1)) ** 2 / 2
         assert res.f_value == pytest.approx(expected, abs=1e-9)
 
+    def test_pure_state_closed_form_higher_dims(self):
+        # F = (sum_k sqrt(lambda_k))^2 / d from the Schmidt coefficients,
+        # with the Schmidt bases hidden behind Haar local unitaries
+        for d in (3, 4):
+            rng = rng_from_seed(45 + d)
+            lam = rng.dirichlet(np.ones(d))
+            ket = np.zeros(d * d, dtype=complex)
+            ket[:: d + 1] = np.sqrt(lam)
+            ket = np.kron(haar_unitary(d, rng), haar_unitary(d, rng)) @ ket
+            st = BipartiteState(d, d, DensityMatrix.pure(ket))
+            res = classify.msf(st, rng=rng_from_seed(50 + d))
+            expected = np.sqrt(lam).sum() ** 2 / d
+            assert res.f_value == pytest.approx(expected, abs=1e-9), d
+
+    def test_local_unitary_invariance(self):
+        for d in (2, 3):
+            rng = rng_from_seed(55 + d)
+            st = random_bipartite(d, d, rng)
+            local = np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+            rotated = BipartiteState(d, d, DensityMatrix(local @ st.mat @ local.conj().T))
+            res = classify.msf(st, rng=rng_from_seed(60 + d))
+            res_rot = classify.msf(rotated, rng=rng_from_seed(65 + d))
+            assert res_rot.f_value == pytest.approx(res.f_value, abs=1e-9), d
+
     def test_matches_exact_two_qubit_formula(self):
         rng = rng_from_seed(31)
         for i in range(15):

@@ -114,6 +114,7 @@ class TestMsfCommand:
         assert code == 0
         report = json.loads(out)
         assert report["result"]["msf"]["F"] == pytest.approx(1.0, abs=1e-8)
+        assert report["result"]["msf"]["converged"] is True
 
     def test_bell_with_depolarizing_closed_form(self, files, capsys):
         _, write = files
