@@ -48,7 +48,6 @@ from .classify import (
     verify_msf_bound,
     witness_from_pair,
 )
-from .kernels import backend_name
 from .sampling import rng_from_seed, substream
 from .states import (
     BipartiteState,

@@ -19,12 +19,19 @@ import sys
 import time
 
 from . import __version__, classify, jsonio, kernels
+from .optimize import DEFAULT_BUDGET
 from .sampling import rng_from_seed
 from .selftest import run_selftest
 
 DEFAULT_TOL = 1e-7
-DEFAULT_BUDGET = 20000
 DEFAULT_SAMPLES = 200
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="64-bit master seed; drawn from entropy (and echoed) if omitted")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="objective evaluations per search verdict (default 20000)")
+        sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
+                        help=f"objective evaluations per search verdict (default {DEFAULT_BUDGET})")
         sp.add_argument("--out", default=None, help="write the report to this path")
         sp.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (text summary or full JSON)")
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="census scan over sampled channel families")
     sp.add_argument("--dim", type=int, required=True, help="channel dimension (>= 2)")
-    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    sp.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES,
                     help=f"number of channels to sample (default {DEFAULT_SAMPLES})")
     common(sp)
 

