@@ -100,8 +100,8 @@ class KrausChannel:
         if state.dim_b != self.dim:
             raise ValueError(f"channel dimension {self.dim} != dim_b {state.dim_b}")
         da, db = state.dim_a, state.dim_b
-        r4 = state.mat.reshape(da, db, da, db)
-        out = np.einsum("kab,ibje,kce->iajc", self.ops, r4, self.ops.conj(), optimize=True)
+        blocks = state.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)  # blocks[k, l] = C_kl
+        out = kernels.apply_kraus(self.ops, blocks).transpose(0, 2, 1, 3)
         return BipartiteState(da, db, DensityMatrix(out.reshape(da * db, da * db)))
 
     def apply_to_identity(self) -> np.ndarray:

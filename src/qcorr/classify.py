@@ -5,9 +5,12 @@ state into a quantumly correlated one exactly when it fails to preserve
 commutativity, i.e. when some orthogonal pure pair (phi, psi) has
 non-commuting outputs.  This module provides:
 
-* a multistart search maximizing the output commutator defect over pairs
-  (violations found are constructive proofs; a pass is "no violation found
-  within budget"),
+* the preservation decision: an exact linear-algebra certificate that
+  bounds the output commutator defect over every orthogonal pair (a bound
+  below tol proves preservation), and a multistart search maximizing the
+  defect over pairs (violations found are constructive proofs; a search
+  pass the certificate cannot confirm is "no violation found within
+  budget"),
 * witness construction: the offending pair embedded in a two-term
   classical-on-B state whose image fails the classicality test,
 * structure detectors (unital, completely decohering, isotropic) and the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,12 +69,16 @@ LABEL_UNKNOWN = "unclassified"
 
 @dataclass(frozen=True)
 class CPVerdict:
-    """Result of the commutativity-preservation search.
+    """Result of the commutativity-preservation decision.
 
-    preserving means no violation above tol was found within the budget; a
-    False verdict carries the offending orthogonal pair.  max_violation is
-    recomputed directly from the pair (not read off the optimizer), so the
-    witness survives independent checking.
+    preserving means no violation above tol exists (certified) or none was
+    found within the budget; a False verdict carries the offending
+    orthogonal pair.  max_violation is recomputed directly from a pair (not
+    read off the optimizer), so the witness survives independent checking.
+    upper_bound is preservation_bound(channel) when it was computed (None
+    when the first pair already proved a violation).  certified marks a
+    verdict that is a proof: every creator, and a pass whose upper_bound is
+    at most tol.  A certified pass ran no search, so its evals is 0.
     """
 
     preserving: bool
@@ -79,6 +87,8 @@ class CPVerdict:
     tol: float
     evals: int
     budget: int
+    upper_bound: float | None
+    certified: bool
 
 
 def pair_from_coords(theta: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +108,59 @@ def pair_violation_direct(channel: chn.KrausChannel, phi: np.ndarray, psi: np.nd
     return linalg.frobenius(linalg.commutator(a, b)) / (linalg.frobenius(a) * linalg.frobenius(b))
 
 
+@lru_cache(maxsize=None)
+def pair_constraint_basis(d: int) -> np.ndarray:
+    """Orthonormal real columns spanning the complement of S in M_d (x) M_d.
+
+    Coordinates of X (x) Y are (i, j, k, l) -> X[i, j] Y[k, l].  S is the
+    common kernel of mu and mu o swap, where mu(X (x) Y) = XY, i.e.
+    mu(E_ij (x) E_kl) = delta_jk E_il and mu(swap(E_ij (x) E_kl)) =
+    delta_li E_kj.  Their 2d^2
+    rows have rank 2d^2 - 1 (both give Tr XY), so the result is
+    d^4 x (2d^2 - 1) and dim S = (d^2 - 1)^2.  It comes from eigh of the
+    rows' Gram matrix, whose nonzero eigenvalues are d and 2d.  Cached per d
+    and read-only.
+    """
+    n = d * d
+    rows = np.zeros((2, d, d, d, d, d, d))  # (map, a, b, i, j, k, l)
+    a, b, j = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
+    rows[0, a, b, a, j, j, b] = 1.0  # mu: (XY)[a, b] = sum_j X[a, j] Y[j, b]
+    rows[1, a, b, j, b, a, j] = 1.0  # mu o swap: (YX)[a, b] = sum_j Y[a, j] X[j, b]
+    rows = rows.reshape(2 * n, n * n)
+    w, v = np.linalg.eigh(rows @ rows.T)
+    keep = w > 0.5
+    basis = rows.T @ (v[:, keep] / np.sqrt(w[keep]))
+    basis.setflags(write=False)
+    return basis
+
+
+def preservation_bound(channel: chn.KrausChannel) -> float:
+    """Upper bound d ||B_L Pi_S||_op on every normalized pair violation.
+
+    B_L(X (x) Y) = L(X)L(Y) - L(Y)L(X) is linear, with the d^4 commutators
+    [L(E_ij), L(E_kl)] as its columns.  An orthogonal pure pair has PQ = QP
+    = 0, so P (x) Q lies in S (see pair_constraint_basis) with unit norm,
+    and for a trace-preserving channel ||L(P)||_F ||L(Q)||_F >= 1/d.  The
+    pairs span S, so the bound is zero exactly when L preserves
+    commutativity.
+    """
+    d = channel.dim
+    n = d * d
+    # images[(i, j)] = L(E_ij); L(E_ij)[a, b] = sum_k E_k[a, i] conj(E_k[b, j])
+    cols = channel.ops.transpose(2, 1, 0).reshape(n, -1)
+    images = (cols @ cols.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, d, d)
+    # prod[p, a, q, c] = (L_p L_q)[a, c]
+    prod = images.reshape(n * d, d) @ images.transpose(1, 0, 2).reshape(d, n * d)
+    prod = prod.reshape(n, d, n, d).transpose(1, 3, 0, 2)
+    b_l = (prod - prod.transpose(0, 1, 3, 2)).reshape(n, n * n)
+    # Project off the constraint rows directly: forming B B^dag minus its
+    # projection cancels to ~1e-8 on preserving channels, too near tol.
+    q = pair_constraint_basis(d)
+    b_s = b_l - (b_l @ q) @ q.T
+    top = np.linalg.eigvalsh(b_s @ b_s.conj().T)[-1]
+    return float(d * np.sqrt(max(top, 0.0)))
+
+
 def is_commutativity_preserving(
     channel: chn.KrausChannel,
     *,
@@ -107,17 +170,28 @@ def is_commutativity_preserving(
     starts: int = DEFAULT_STARTS,
     early_stop: float | None = None,
 ) -> CPVerdict:
-    """Search for an orthogonal pure pair with non-commuting channel outputs.
+    """Decide whether some orthogonal pure pair has non-commuting channel outputs.
 
-    Pairs are the first two columns of u0 exp(iH), H Hermitian with d^2 real
-    coordinates.  The verdict is one-sided: a violation is a proof, a pass
-    only says none was found within the evaluation budget.
+    The computational pair (e0, e1) is evaluated first.  If it does not
+    violate, preservation_bound decides: a bound at most tol is a certified
+    pass and no search runs.  Otherwise the multistart search runs (pairs
+    are the first two columns of u0 exp(iH), H Hermitian with d^2 real
+    coordinates); the checks before it draw nothing from rng.  A violation is a proof; a search pass whose bound exceeds
+    tol only says none was found within the evaluation budget.
     """
     d = channel.dim
     if d < 2:
-        return CPVerdict(True, 0.0, None, tol, 0, budget)
+        return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True)
     if early_stop is None:
         early_stop = max(100 * tol, 1e-3)
+
+    eye = np.eye(d)
+    upper = None
+    probe = pair_violation_direct(channel, eye[0], eye[1])
+    if probe <= tol:
+        upper = preservation_bound(channel)
+        if upper <= tol:
+            return CPVerdict(True, probe, None, tol, 0, budget, upper, True)
 
     ops = channel.ops
 
@@ -137,6 +211,8 @@ def is_commutativity_preserving(
         tol=tol,
         evals=res.evals,
         budget=budget,
+        upper_bound=upper,
+        certified=not preserving,
     )
 
 
@@ -784,6 +860,7 @@ class ScanRow:
     family: str
     label: str
     cp_preserving: bool
+    cp_certified: bool
     max_violation: float
     is_cd: bool
     is_iso: bool
@@ -799,6 +876,9 @@ class ScanReport:
     completely decohering; at d >= 3 iff it is completely decohering or
     isotropic (a theorem at d = 3, the conjectured extension at d >= 4).
     Any channel breaking the equivalence is listed in anomalies.
+    family_counts holds the label counts and cp_pass per family; each row
+    says whether its verdict is certified (the JSON report also counts
+    cp_certified per family).
     """
 
     dim: int
@@ -852,6 +932,7 @@ def _scan_one(
         family=family,
         label=label,
         cp_preserving=cp.preserving,
+        cp_certified=cp.certified,
         max_violation=cp.max_violation,
         is_cd=basis is not None,
         is_iso=iso is not None,

@@ -143,7 +143,7 @@ def _cmd_classify(args: argparse.Namespace, seed: int) -> tuple[dict, list[str],
     if verdict.cp is not None:
         lines.append(
             f"commutativity preserving: {verdict.cp.preserving} "
-            f"(max violation {verdict.cp.max_violation:.3e})"
+            f"(max violation {verdict.cp.max_violation:.3e}, certified: {verdict.cp.certified})"
         )
     return jsonio.classification_to_json(verdict), lines, 0
 
@@ -214,7 +214,7 @@ def _cmd_scan(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int
     )
     result = jsonio.scan_to_json(report)
     lines = [f"scanned {len(report.rows)} channels at d={report.dim}"]
-    for family, counts in report.family_counts.items():
+    for family, counts in result["family_counts"].items():
         summary = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         lines.append(f"  {family}: {summary}")
     lines.append(f"anomalies: {len(report.anomalies)}")

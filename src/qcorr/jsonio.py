@@ -140,17 +140,21 @@ def witness_from_json(obj: Any) -> CreationWitness:
 
 
 def cp_verdict_to_json(v: CPVerdict) -> dict:
+    if not v.preserving:
+        note = "violation is a constructive proof"
+    elif v.certified:
+        note = "certified: no orthogonal pair exceeds tol"
+    else:
+        note = "no violation found within budget (not certified)"
     out = {
         "preserving": v.preserving,
         "max_violation": v.max_violation,
         "tol": v.tol,
         "evals": v.evals,
         "budget": v.budget,
-        "note": (
-            "no violation found within budget"
-            if v.preserving
-            else "violation is a constructive proof"
-        ),
+        "upper_bound": v.upper_bound,
+        "certified": v.certified,
+        "note": note,
     }
     if v.witness_pair is not None:
         out["witness_pair"] = [vector_to_json(v.witness_pair[0]), vector_to_json(v.witness_pair[1])]
@@ -200,7 +204,13 @@ def scan_to_json(report: ScanReport) -> dict:
         "dim": report.dim,
         "seed": report.seed,
         "n_channels": len(report.rows),
-        "family_counts": report.family_counts,
+        "family_counts": {
+            family: {
+                **counts,
+                "cp_certified": sum(r.cp_certified for r in report.rows if r.family == family),
+            }
+            for family, counts in report.family_counts.items()
+        },
         "anomalies": [
             {
                 "index": r.index,

@@ -41,8 +41,17 @@ def unpack_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
 
 
 def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_k E_k m E_k^dag for a stacked (n, d, d) Kraus array."""
-    return np.einsum("kij,jl,kml->im", kraus, m, kraus.conj(), optimize=True)
+    """sum_k E_k m E_k^dag for a stacked (n, d, d) Kraus array.
+
+    m is one d x d matrix or a (..., d, d) stack of them.  Two plain matrix
+    products over the stacked Kraus index; at these sizes einsum's path
+    planning costs more than the arithmetic.
+    """
+    n, d, _ = kraus.shape
+    lead = m.shape[:-2]
+    # left[..., a, (k, e)] = (E_k m)[a, e]
+    left = (kraus.reshape(n * d, d) @ m).reshape(*lead, n, d, d).swapaxes(-3, -2)
+    return left.reshape(*lead, d, n * d) @ kraus.conj().transpose(0, 2, 1).reshape(n * d, d)
 
 
 def pair_violation(theta: np.ndarray, u0: np.ndarray, kraus: np.ndarray) -> float:

@@ -129,8 +129,11 @@ def maximize_unitary_objective(
 
     The remaining budget is split evenly over the remaining starts, so
     quickly converging starts donate their leftover evaluations.  When
-    early_stop is given, the search returns as soon as the incumbent
-    reaches it (the value is a decision threshold, not an optimum claim).
+    early_stop is given, the incumbent is compared with it after each start
+    finishes, and the search returns once it is reached (the value is a
+    decision threshold, not an optimum claim).  A start is never cut short:
+    even if it passes early_stop in its first evaluations, it runs to
+    convergence or to its share of the budget.
     """
     n = dim * dim
     identity = np.eye(dim, dtype=complex)

@@ -6,16 +6,20 @@ from helpers import (
     exact_entangled_fraction_2q,
     qubit_cp_grid_max,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import channels as chn
-from qcorr import classify, linalg
+from qcorr import classify, kernels, linalg
 from qcorr.channels import maximally_entangled_ket
+from qcorr.optimize import maximize_unitary_objective
 from qcorr.sampling import (
     haar_unitary,
     random_bipartite,
     random_completely_decohering,
     random_cptp,
     random_isotropic,
+    random_orthogonal_pure_pair,
     random_povm,
     random_unital_mixture,
     rng_from_seed,
@@ -83,6 +87,127 @@ class TestCommutativityPreserving:
         verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(7))
         direct = classify.pair_violation_direct(ch, *verdict.witness_pair)
         assert verdict.max_violation == pytest.approx(direct, abs=1e-12)
+
+
+def pair_tensor(phi, psi):
+    """vec(P (x) Q) in the (i, j, k, l) coordinates of the certificate."""
+    return np.kron(np.outer(phi, phi.conj()).reshape(-1), np.outer(psi, psi.conj()).reshape(-1))
+
+
+def preserving_examples(d, rng):
+    return [
+        random_completely_decohering(d, rng),
+        random_isotropic(d, rng, gamma="unitary"),
+        random_isotropic(d, rng, gamma="transpose"),
+        chn.depolarizing(d, 0.3),
+    ]
+
+
+class TestPreservationCertificate:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_constraint_rank_and_pairs_span_s(self, d, rng):
+        q = classify.pair_constraint_basis(d)
+        assert q.shape == (d**4, 2 * d * d - 1)
+        assert np.abs(q.T @ q - np.eye(2 * d * d - 1)).max() < 1e-12
+        # dim S = d^4 - (2d^2 - 1) = (d^2 - 1)^2, and the pairs fill all of it
+        n_pairs = (d * d - 1) ** 2 + 8
+        vecs = np.array([pair_tensor(*random_orthogonal_pure_pair(d, rng)) for _ in range(n_pairs)])
+        assert np.abs(vecs @ q).max() < 1e-12
+        assert np.linalg.matrix_rank(vecs, tol=1e-9) == (d * d - 1) ** 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bound_dominates_pair_violations(self, d, rng):
+        for _ in range(5):
+            ch = random_cptp(d, rng)
+            bound = classify.preservation_bound(ch)
+            for _ in range(10):
+                v = classify.pair_violation_direct(ch, *random_orthogonal_pure_pair(d, rng))
+                assert bound >= v
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_known_families_bound_vanishes(self, d, rng):
+        for ch in preserving_examples(d, rng):
+            assert classify.preservation_bound(ch) <= 1e-12, ch
+
+    def test_known_families_bound_vanishes_d8(self):
+        for ch in preserving_examples(8, rng_from_seed(70)):
+            assert classify.preservation_bound(ch) <= 1e-12, ch
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_unital_mixture_bound_exceeds_tol(self, d, rng):
+        # unitality protects qubits only: mixtures create from d = 3 on
+        for _ in range(3):
+            assert classify.preservation_bound(random_unital_mixture(d, rng)) > classify.CP_TOL
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_kraus_gauge_invariance(self, seed, d):
+        rng = rng_from_seed(seed)
+        ch = random_cptp(d, rng, env_dim=d)
+        # E'_i = sum_j W[i, j] E_j for an isometry W into a larger Kraus set
+        w = haar_unitary(2 * d, rng)[:, :d]
+        mixed = chn.KrausChannel(np.tensordot(w, ch.ops, axes=1))
+        a, b = classify.preservation_bound(ch), classify.preservation_bound(mixed)
+        assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_unitary_conjugation_invariance(self, seed, d):
+        rng = rng_from_seed(seed)
+        ch = random_cptp(d, rng) if seed % 2 else random_unital_mixture(d, rng)
+        v_out, w_in = haar_unitary(d, rng), haar_unitary(d, rng)
+        rotated = chn.KrausChannel(v_out @ ch.ops @ w_in)
+        a, b = classify.preservation_bound(ch), classify.preservation_bound(rotated)
+        assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+
+    def test_certified_pass_runs_no_search(self, monkeypatch, rng):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a certified pass must not search")
+
+        monkeypatch.setattr(classify, "maximize_unitary_objective", no_search)
+        for ch in preserving_examples(3, rng) + [chn.identity_channel(4)]:
+            verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(71))
+            assert verdict.preserving and verdict.certified
+            assert verdict.evals == 0
+            assert verdict.witness_pair is None
+            assert verdict.upper_bound <= verdict.tol
+            e = np.eye(ch.dim)
+            assert verdict.max_violation == classify.pair_violation_direct(ch, e[0], e[1])
+
+    def test_uncertified_search_pass(self):
+        # (e0, e1) commute on the block example, so the certificate runs and
+        # fails; a one-evaluation budget then cannot find a violating pair
+        verdict = classify.is_commutativity_preserving(
+            example_block_channel(), budget=1, rng=rng_from_seed(72)
+        )
+        assert verdict.preserving and not verdict.certified
+        assert verdict.upper_bound > verdict.tol
+        assert verdict.evals == 1
+
+    @pytest.mark.parametrize(
+        "make", [lambda r: random_cptp(2, r), lambda r: random_cptp(3, r),
+                 lambda r: random_cptp(4, r), lambda r: example_block_channel()]
+    )
+    def test_creator_matches_direct_search(self, make, rng):
+        ch = make(rng)
+        verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(73))
+        res = maximize_unitary_objective(
+            lambda theta, u0: kernels.pair_violation(theta, u0, ch.ops),
+            ch.dim,
+            rng=rng_from_seed(73),
+            early_stop=max(100 * classify.CP_TOL, 1e-3),  # the decision's default
+        )
+        phi, psi = classify.pair_from_coords(res.theta, res.u0)
+        assert not verdict.preserving and verdict.certified
+        assert np.array_equal(verdict.witness_pair[0], phi)
+        assert np.array_equal(verdict.witness_pair[1], psi)
+        assert verdict.max_violation == classify.pair_violation_direct(ch, phi, psi)
+        assert verdict.evals == res.evals
+        e = np.eye(ch.dim)
+        if classify.pair_violation_direct(ch, e[0], e[1]) > verdict.tol:
+            assert verdict.upper_bound is None
+        else:
+            assert verdict.upper_bound >= verdict.max_violation
 
 
 class TestCreationWitness:

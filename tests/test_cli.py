@@ -39,6 +39,21 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, ["classify", "--channel", path, "--seed", "1"])
         assert code == 0
         assert "isotropic" in out
+        assert "certified: True" in out
+
+    def test_depolarizing_certified_json(self, files, capsys):
+        _, write = files
+        path = write("dep.json", jsonio.channel_to_json(chn.depolarizing(3, 0.3)))
+        code, out, _ = run(
+            capsys, ["classify", "--channel", path, "--seed", "1", "--format", "json"]
+        )
+        assert code == 0
+        cp = json.loads(out)["result"]["cp"]
+        assert cp["preserving"] and cp["certified"]
+        assert cp["upper_bound"] <= cp["tol"]
+        assert cp["evals"] == 0
+        assert "witness_pair" not in cp
+        assert cp["note"] == "certified: no orthogonal pair exceeds tol"
 
     def test_dephasing_decohering_json(self, files, capsys):
         _, write = files
@@ -155,6 +170,10 @@ class TestScanCommand:
         report = json.loads(out)
         assert report["result"]["anomalies"] == []
         assert report["result"]["n_channels"] == 12
+        # every verdict here is a proof: creators by their pair, passes by the bound
+        for counts in report["result"]["family_counts"].values():
+            labeled = sum(v for k, v in counts.items() if k not in ("cp_pass", "cp_certified"))
+            assert counts["cp_certified"] == labeled
 
     def test_qubit_scan(self, capsys):
         code, out, _ = run(

@@ -77,3 +77,21 @@ class TestWitnessRoundTrip:
         assert back.output_quantumness == pytest.approx(w.output_quantumness, abs=1e-9)
         assert back.output_quantumness > 1e-7
         assert abs(np.vdot(back.pair[0], back.pair[1])) < 1e-9
+
+
+class TestCPVerdictNotes:
+    def test_each_kind_of_claim_is_named(self):
+        e = np.array([1.0, 1.0]) / np.sqrt(2)
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        block = chn.block_unitary_mixture(e, [np.eye(2), np.array([[c, -s], [s, c]])])
+        cases = [
+            (chn.depolarizing(3, 0.3), {}, True, "certified: no orthogonal pair exceeds tol"),
+            (block, {}, True, "violation is a constructive proof"),
+            (block, {"budget": 1}, False, "no violation found within budget (not certified)"),
+        ]
+        for ch, kwargs, certified, note in cases:
+            verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(2), **kwargs)
+            obj = json.loads(json.dumps(jsonio.cp_verdict_to_json(verdict)))
+            assert obj["certified"] is certified
+            assert obj["note"] == note
+            assert (obj["upper_bound"] is None) == (verdict.upper_bound is None)
