@@ -7,10 +7,10 @@ non-commuting outputs.  This module provides:
 
 * the preservation decision: an exact linear-algebra certificate that
   bounds the output commutator defect over every orthogonal pair (a bound
-  below tol proves preservation), and a multistart search maximizing the
-  defect over pairs (violations found are constructive proofs; a search
-  pass the certificate cannot confirm is "no violation found within
-  budget"),
+  below tol proves preservation), and otherwise a batched screen of pairs
+  whose best is polished by Riemannian gradient ascent (a violation found
+  is a constructive proof; a search pass the certificate cannot confirm is
+  "no violation found within budget"),
 * witness construction: the offending pair embedded in a two-term
   classical-on-B state whose image fails the classicality test,
 * structure detectors (unital, completely decohering, isotropic) and the
@@ -31,7 +31,10 @@ import numpy as np
 
 from . import channels as chn
 from . import kernels, linalg
-from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, maximize_unitary_objective
+# Nothing here calls maximize_unitary_objective.  The import stays because
+# perfbench's tracer resolves qcorr.classify.maximize_unitary_objective; it
+# goes with optimize.py once the benchmark drops that lookup.
+from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, maximize_unitary_objective  # noqa: F401
 from .sampling import (
     haar_unitary,
     random_block_unitary_mixture,
@@ -74,11 +77,13 @@ class CPVerdict:
     preserving means no violation above tol exists (certified) or none was
     found within the budget; a False verdict carries the offending
     orthogonal pair.  max_violation is recomputed directly from a pair (not
-    read off the optimizer), so the witness survives independent checking.
+    read off the search), so the witness survives independent checking.
     upper_bound is preservation_bound(channel) when it was computed (None
     when the first pair already proved a violation).  certified marks a
     verdict that is a proof: every creator, and a pass whose upper_bound is
-    at most tol.  A certified pass ran no search, so its evals is 0.
+    at most tol.  evals counts pair evaluations, at most budget: the
+    screened pairs plus one per polished frame per ascent step.  A
+    certified pass ran no search, so its evals is 0.
     """
 
     preserving: bool
@@ -92,7 +97,11 @@ class CPVerdict:
 
 
 def pair_from_coords(theta: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthogonal pure pair parameterized by multistart coordinates."""
+    """The orthogonal pure pair parameterized by generator coordinates.
+
+    Only the reference test of kernels.pair_violation uses it; both stay
+    while perfbench looks that kernel up by name.
+    """
     d = u0.shape[0]
     w = u0 @ kernels.expi_hermitian(kernels.unpack_hermitian(np.asarray(theta, float), d))
     return np.asarray(w)[:, 0].copy(), np.asarray(w)[:, 1].copy()
@@ -174,10 +183,11 @@ def is_commutativity_preserving(
 
     The computational pair (e0, e1) is evaluated first.  If it does not
     violate, preservation_bound decides: a bound at most tol is a certified
-    pass and no search runs.  Otherwise the multistart search runs (pairs
-    are the first two columns of u0 exp(iH), H Hermitian with d^2 real
-    coordinates); the checks before it draw nothing from rng.  A violation is a proof; a search pass whose bound exceeds
-    tol only says none was found within the evaluation budget.
+    pass and no search runs.  Otherwise _search_pairs screens starts pairs
+    and polishes the best (more of them to a tighter tolerance when the
+    best stays below early_stop, default max(100 tol, 1e-3)); the checks
+    before it draw nothing from rng.  A violation is a proof; a search pass
+    whose bound exceeds tol only says none was found within the budget.
     """
     d = channel.dim
     if d < 2:
@@ -193,15 +203,10 @@ def is_commutativity_preserving(
         if upper <= tol:
             return CPVerdict(True, probe, None, tol, 0, budget, upper, True)
 
-    ops = channel.ops
-
-    def objective(theta: np.ndarray, u0: np.ndarray) -> float:
-        return kernels.pair_violation(theta, u0, ops)
-
-    res = maximize_unitary_objective(
-        objective, d, rng=rng, budget=budget, starts=starts, early_stop=early_stop
+    frame, evals = _search_pairs(
+        channel.ops, rng=rng, budget=budget, starts=starts, early_stop=early_stop
     )
-    phi, psi = pair_from_coords(res.theta, res.u0)
+    phi, psi = frame[:, 0].copy(), frame[:, 1].copy()
     violation = pair_violation_direct(channel, phi, psi)
     preserving = violation <= tol
     return CPVerdict(
@@ -209,11 +214,99 @@ def is_commutativity_preserving(
         max_violation=violation,
         witness_pair=None if preserving else (phi, psi),
         tol=tol,
-        evals=res.evals,
+        evals=evals,
         budget=budget,
         upper_bound=upper,
         certified=not preserving,
     )
+
+
+PAIR_STEP = 0.3
+PAIR_STEP_GROW = 1.5
+PAIR_POLISH_RTOL = 1e-6
+PAIR_BAND_RTOL = 1e-9
+PAIR_BAND_FRAMES = 4
+
+
+def _search_pairs(
+    kraus: np.ndarray, *, rng: np.random.Generator, budget: int, starts: int, early_stop: float
+) -> tuple[np.ndarray, int]:
+    """Best orthonormal pair frame (d, 2) found, and the pair evaluations used.
+
+    Screen: min(starts, budget) frames in one batched call, frame 0 being
+    (e0, e1) and frame i the first two columns of the i-th haar_unitary
+    draw.  The screened winner is polished to PAIR_POLISH_RTOL.  Only if it
+    is still below early_stop do the best PAIR_BAND_FRAMES screened frames
+    (the polished winner among them) ascend together to PAIR_BAND_RTOL.
+    budget caps the evaluations: one per screened frame plus one per
+    polished frame per step.
+    """
+    d = kraus.shape[1]
+    n = max(1, min(starts, budget))
+    frames = np.empty((n, d, 2), dtype=complex)
+    frames[0] = np.eye(d)[:, :2]
+    for i in range(1, n):
+        frames[i] = haar_unitary(d, rng)[:, :2]
+    f, grad = kernels.pair_violation_grad(frames, kraus)
+    evals = n
+    order = np.argsort(-f, kind="stable")
+    evals += _ascend_pairs(
+        frames, f, grad, kraus, order[:1], budget=budget - evals, rtol=PAIR_POLISH_RTOL
+    )
+    if f.max() < early_stop:
+        evals += _ascend_pairs(
+            frames, f, grad, kraus, order[:PAIR_BAND_FRAMES], budget=budget - evals,
+            rtol=PAIR_BAND_RTOL,
+        )
+    return frames[int(np.argmax(f))], evals
+
+
+def _ascend_pairs(
+    frames: np.ndarray,
+    f: np.ndarray,
+    grad: np.ndarray,
+    kraus: np.ndarray,
+    active: np.ndarray,
+    *,
+    budget: int,
+    rtol: float,
+) -> int:
+    """Riemannian gradient ascent of the frames listed in active; returns evaluations.
+
+    frames, f and grad (from kernels.pair_violation_grad) are updated in
+    place.  A frame steps along the tangent part of the gradient of
+    log f^2, which is scale-free, so a violation near tol moves as fast as
+    a large one, and retracts by QR with R's diagonal positive.  Its
+    step starts at PAIR_STEP, grows by PAIR_STEP_GROW when taken and halves
+    when refused; a step that would lower f is never taken.  A frame is
+    done once a taken step gains at most rtol f^2, or once a refused step
+    was too short to gain more than that to first order.
+    """
+    step = np.full(frames.shape[0], PAIR_STEP)
+    evals = 0
+    while active.size and evals < budget:
+        active = active[: budget - evals]
+        w, f2, t = frames[active], f[active] ** 2, step[active]
+        wg = w.conj().swapaxes(-1, -2) @ grad[active]
+        xi = grad[active] - w @ ((wg + wg.conj().swapaxes(-1, -2)) / 2)
+        xi /= np.where(f2 > 0, f2, 1.0)[:, None, None]
+        # QR retraction with R's diagonal positive: Gram-Schmidt on two columns
+        v = w + t[:, None, None] * xi
+        q0 = v[..., 0] / np.linalg.norm(v[..., 0], axis=-1, keepdims=True)
+        v1 = v[..., 1] - q0 * (q0.conj() * v[..., 1]).sum(axis=-1, keepdims=True)
+        q = np.stack([q0, v1 / np.linalg.norm(v1, axis=-1, keepdims=True)], axis=-1)
+        f_new, g_new = kernels.pair_violation_grad(q, kraus)
+        evals += active.size
+        gain = f_new**2 - f2
+        take = gain >= 0
+        frames[active[take]], f[active[take]], grad[active[take]] = (
+            q[take], f_new[take], g_new[take]
+        )
+        step[active] = np.where(take, t * PAIR_STEP_GROW, t / 2)
+        predicted = t * (xi.real**2 + xi.imag**2).sum(axis=(-2, -1)) * f2
+        done = np.where(take, gain, predicted) <= rtol * f2
+        active = active[~done]
+    return evals
 
 
 # ---------------------------------------------------------------------------

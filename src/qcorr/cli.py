@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
         sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
-                        help=f"objective evaluations per search verdict (default {DEFAULT_BUDGET})")
+                        help=("pair evaluations per preservation search (msf: ascent "
+                              f"evaluations summed over starts; default {DEFAULT_BUDGET})"))
         sp.add_argument("--out", default=None, help="write the report to this path")
         sp.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (text summary or full JSON)")
@@ -150,15 +151,19 @@ def _cmd_classify(args: argparse.Namespace, seed: int) -> tuple[dict, list[str],
 
 def _cmd_witness(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
-    witness = classify.creation_witness(
+    verdict = classify.is_commutativity_preserving(
         channel, budget=args.budget, tol=args.tol, rng=rng_from_seed(seed)
     )
-    if witness is None:
-        return (
-            {"found": False, "note": "no violation found within budget"},
-            ["no creation witness found within budget"],
-            1,
-        )
+    if verdict.preserving:
+        result = {"found": False, "certified": verdict.certified,
+                  "upper_bound": verdict.upper_bound,
+                  "note": jsonio.cp_verdict_to_json(verdict)["note"]}
+        if verdict.certified:
+            line = "no creation witness exists (certified: no orthogonal pair exceeds tol)"
+        else:
+            line = "no creation witness found within budget (not certified)"
+        return result, [line], 1
+    witness = classify.witness_from_pair(channel, *verdict.witness_pair, tol=args.tol)
     result = {"found": True, "witness": jsonio.witness_to_json(witness)}
     lines = [
         "creation witness found",

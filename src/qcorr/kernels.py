@@ -1,6 +1,11 @@
 """NumPy implementations of the hot numerical kernels.
 
-Library code looks these up as ``kernels.<name>`` at call time.
+Library code looks these up as ``kernels.<name>`` at call time.  The
+library itself calls eigh, apply_kraus and pair_violation_grad.
+pair_violation, unpack_hermitian, expi_hermitian and entangled_overlap have
+no library caller; they stay because perfbench resolves them by name
+(tracing.TARGETS, micro.KERNELS) and go when the benchmark drops those
+lookups.
 """
 
 from __future__ import annotations
@@ -52,6 +57,39 @@ def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     # left[..., a, (k, e)] = (E_k m)[a, e]
     left = (kraus.reshape(n * d, d) @ m).reshape(*lead, n, d, d).swapaxes(-3, -2)
     return left.reshape(*lead, d, n * d) @ kraus.conj().transpose(0, 2, 1).reshape(n * d, d)
+
+
+def pair_violation_grad(frames: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Violations f and the Euclidean gradients of f^2 on a stack of pair frames.
+
+    frames is an (s, d, 2) stack whose columns are the orthonormal pairs
+    (phi, psi).  With A = L(phi phi^dag), B = L(psi psi^dag), C = [A, B],
+    a = ||A||^2, b = ||B||^2 and f^2 = ||C||^2 / (a b), the gradient with
+    respect to the real and imaginary parts of (phi, psi) has the columns
+    4 L^dag([C, B]/(a b) - f^2 A/a) phi and 4 L^dag([A, C]/(a b) - f^2 B/b) psi,
+    with L^dag(X) = sum_k E_k^dag X E_k.  Returns f (s,) and grad (s, d, 2).
+    """
+    n, d, _ = kraus.shape
+    s = frames.shape[0]
+    flat = kraus.reshape(n * d, d)
+    # images[s, j, k, :] = E_k w_j for the frame columns w_0 = phi, w_1 = psi
+    images = (flat @ frames).reshape(s, n, d, 2).transpose(0, 3, 1, 2)
+    outs = images.swapaxes(-1, -2) @ images.conj()  # (s, 2, d, d): A and B
+    a_mat, b_mat = outs[:, 0], outs[:, 1]
+    c_mat = a_mat @ b_mat - b_mat @ a_mat
+    norm2 = (outs.real**2 + outs.imag**2).sum(axis=(-2, -1))  # (s, 2): a and b
+    c2 = (c_mat.real**2 + c_mat.imag**2).sum(axis=(-2, -1))
+    ab = norm2[:, 0] * norm2[:, 1]
+    f2 = c2 / ab
+    x = np.empty_like(outs)
+    x[:, 0] = c_mat @ b_mat - b_mat @ c_mat
+    x[:, 1] = a_mat @ c_mat - c_mat @ a_mat
+    x /= ab[:, None, None, None]
+    x -= (f2[:, None] / norm2)[..., None, None] * outs
+    # y[s, j, :, k] = X_j E_k w_j, then grad[s, j] = sum_k E_k^dag y[s, j, :, k]
+    y = x @ images.swapaxes(-1, -2)
+    grad = y.swapaxes(-1, -2).reshape(s, 2, n * d) @ flat.conj()
+    return np.sqrt(f2), 4 * grad.swapaxes(-1, -2)
 
 
 def pair_violation(theta: np.ndarray, u0: np.ndarray, kraus: np.ndarray) -> float:

@@ -87,16 +87,21 @@ def qubit_pair_grid(n_theta: int = 100, n_phi: int = 100) -> tuple[np.ndarray, n
     return b[:, :, 0], b[:, :, 1]
 
 
+def pair_violations(channel, phis: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Normalized output-commutator defects of stacked pairs, by explicit Kraus sums."""
+    ops = channel.ops
+
+    def outputs(kets):
+        return np.einsum("kab,nb,kcd,nd->nac", ops, kets, ops.conj(), kets.conj(), optimize=True)
+
+    a, b = outputs(phis), outputs(psis)
+    num = np.linalg.norm(a @ b - b @ a, axis=(1, 2))
+    return num / (np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)))
+
+
 def qubit_cp_grid_max(channel, n_theta: int = 100, n_phi: int = 100) -> float:
     """Grid maximum of the normalized output-commutator defect (qubit only)."""
-    phis, psis = qubit_pair_grid(n_theta, n_phi)
-    ops = channel.ops
-    a = np.einsum("kab,nb,kcd,nd->nac", ops, phis, ops.conj(), phis.conj(), optimize=True)
-    b = np.einsum("kab,nb,kcd,nd->nac", ops, psis, ops.conj(), psis.conj(), optimize=True)
-    comm = a @ b - b @ a
-    num = np.linalg.norm(comm, axis=(1, 2))
-    den = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
-    return float((num / den).max())
+    return float(pair_violations(channel, *qubit_pair_grid(n_theta, n_phi)).max())
 
 
 def brute_force_msf(rho: np.ndarray, d: int, n_samples: int, rng: np.random.Generator) -> float:
@@ -119,3 +124,15 @@ def amplitude_damping(gamma: float):
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return KrausChannel([k0, k1], kind="amplitude_damping", params={"gamma": gamma})
+
+
+def sampled_pair_violation(channel, n_pairs: int, rng: np.random.Generator) -> float:
+    """Best normalized output commutator over Haar-random orthogonal pairs.
+
+    Each pair is the first two columns of the Q factor of a complex Gaussian
+    matrix; any pair's value is a lower bound on the channel's maximum.
+    """
+    d = channel.dim
+    z = rng.standard_normal((n_pairs, d, d)) + 1j * rng.standard_normal((n_pairs, d, d))
+    q = np.linalg.qr(z)[0]
+    return float(pair_violations(channel, q[:, :, 0], q[:, :, 1]).max())

@@ -107,6 +107,22 @@ class TestWitnessCommand:
         assert code == 1
         assert "no creation witness" in out
 
+    def test_certified_pass_reports_no_witness_exists(self, files, capsys):
+        _, write = files
+        path = write("dep.json", jsonio.channel_to_json(chn.depolarizing(3, 0.3)))
+        code, out, _ = run(
+            capsys, ["witness", "--channel", path, "--seed", "1", "--format", "json"]
+        )
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result["found"] is False
+        assert result["certified"] is True
+        assert result["upper_bound"] <= 1e-7
+        assert result["note"] == "certified: no orthogonal pair exceeds tol"
+        code, out, _ = run(capsys, ["witness", "--channel", path, "--seed", "1"])
+        assert code == 1
+        assert "no creation witness exists" in out
+
     def test_amplitude_damping_witness_round_trip(self, files, capsys):
         _, write = files
         path = write("ad.json", jsonio.channel_to_json(amplitude_damping(0.5)))

@@ -56,3 +56,33 @@ class TestReferencePaths:
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         explicit = sum(e @ m @ e.conj().T for e in ch.ops)
         assert np.abs(kernels.apply_kraus(ch.ops, m) - explicit).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+class TestPairViolationGrad:
+    def frames(self, d, rng, s=6):
+        return np.stack([haar_unitary(d, rng)[:, :2] for _ in range(s)])
+
+    def test_values_match_direct(self, d, rng):
+        ch = random_cptp(d, rng)
+        frames = self.frames(d, rng)
+        f, grad = kernels.pair_violation_grad(frames, ch.ops)
+        assert f.shape == (6,) and grad.shape == (6, d, 2)
+        for w, v in zip(frames, f):
+            direct = classify.pair_violation_direct(ch, w[:, 0], w[:, 1])
+            assert v == pytest.approx(direct, abs=1e-12)
+
+    def test_gradient_matches_central_differences(self, d, rng):
+        # grad is the gradient of f^2 in the real and imaginary parts of
+        # (phi, psi): d/dh f^2(W + h E) at h = 0 equals Re <E, grad>
+        ch = random_cptp(d, rng)
+        frames = self.frames(d, rng, s=3)
+        _, grad = kernels.pair_violation_grad(frames, ch.ops)
+        h = 1e-5
+        for _ in range(4):
+            e = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+            fp, _ = kernels.pair_violation_grad(frames + h * e, ch.ops)
+            fm, _ = kernels.pair_violation_grad(frames - h * e, ch.ops)
+            numeric = (fp**2 - fm**2) / (2 * h)
+            analytic = (e.conj() * grad).sum(axis=(-2, -1)).real
+            assert np.abs(numeric - analytic).max() <= 1e-7 * (1 + np.abs(analytic).max())
