@@ -8,7 +8,7 @@ non-commuting outputs.  This module provides:
 * the preservation decision: an exact linear-algebra certificate that
   bounds the output commutator defect over every orthogonal pair (a bound
   below tol proves preservation), and otherwise a batched screen of pairs
-  whose best is polished by Riemannian gradient ascent (a violation found
+  whose best is polished by Riemannian quasi-Newton ascent (a violation found
   is a constructive proof; a search pass the certificate cannot confirm is
   "no violation found within budget"),
 * witness construction: the offending pair embedded in a two-term
@@ -271,27 +271,36 @@ def _ascend_pairs(
     budget: int,
     rtol: float,
 ) -> int:
-    """Riemannian gradient ascent of the frames listed in active; returns evaluations.
+    """Riemannian quasi-Newton ascent of the frames listed in active; returns evaluations.
 
     frames, f and grad (from kernels.pair_violation_grad) are updated in
-    place.  A frame steps along the tangent part of the gradient of
-    log f^2, which is scale-free, so a violation near tol moves as fast as
-    a large one, and retracts by QR with R's diagonal positive.  Its
-    step starts at PAIR_STEP, grows by PAIR_STEP_GROW when taken and halves
-    when refused; a step that would lower f is never taken.  A frame is
-    done once a taken step gains at most rtol f^2, or once a refused step
-    was too short to gain more than that to first order.
+    place.  A frame climbs log f^2, which is scale-free, so a violation
+    near tol moves as fast as a large one.  Its direction is an inverse
+    Hessian estimate applied to the tangent part of the gradient, and it
+    retracts by QR with R's diagonal positive.  The estimate starts at
+    PAIR_STEP times the identity, so the first step is a plain gradient
+    step, and takes a BFGS update from every step taken (tangent vectors
+    move to the new frame by projection).  Plain gradient steps crawl along
+    the nearly flat ridges of eps-perturbed symmetric channels for
+    thousands of steps; the updates learn the ridge's curvature.  The step
+    length starts at 1, grows by PAIR_STEP_GROW when taken and halves when
+    refused; a step that would lower f is never taken.  A frame is done
+    once a taken step gains at most rtol f^2, or once a refused step was
+    too short to gain more than that to first order.
     """
-    step = np.full(frames.shape[0], PAIR_STEP)
+    k, d, _ = frames.shape
+    hinv = np.broadcast_to(PAIR_STEP * np.eye(4 * d), (k, 4 * d, 4 * d)).copy()
+    step = np.ones(k)
+    xi = np.zeros_like(frames)
+    xi[active] = _log_gradient(frames[active], grad[active], f[active] ** 2)
     evals = 0
     while active.size and evals < budget:
         active = active[: budget - evals]
-        w, f2, t = frames[active], f[active] ** 2, step[active]
-        wg = w.conj().swapaxes(-1, -2) @ grad[active]
-        xi = grad[active] - w @ ((wg + wg.conj().swapaxes(-1, -2)) / 2)
-        xi /= np.where(f2 > 0, f2, 1.0)[:, None, None]
+        w, f2, t, g = frames[active], f[active] ** 2, step[active], _real(xi[active])
+        p = _tangent(w, _complex(hinv[active] @ g[..., None]))
+        slope = (_real(p) * g).sum(axis=-1)
         # QR retraction with R's diagonal positive: Gram-Schmidt on two columns
-        v = w + t[:, None, None] * xi
+        v = w + t[:, None, None] * p
         q0 = v[..., 0] / np.linalg.norm(v[..., 0], axis=-1, keepdims=True)
         v1 = v[..., 1] - q0 * (q0.conj() * v[..., 1]).sum(axis=-1, keepdims=True)
         q = np.stack([q0, v1 / np.linalg.norm(v1, axis=-1, keepdims=True)], axis=-1)
@@ -299,14 +308,58 @@ def _ascend_pairs(
         evals += active.size
         gain = f_new**2 - f2
         take = gain >= 0
-        frames[active[take]], f[active[take]], grad[active[take]] = (
-            q[take], f_new[take], g_new[take]
-        )
+        moved, q = active[take], q[take]
+        xi_new = _log_gradient(q, g_new[take], f_new[take] ** 2)
+        s = _real(t[take, None, None] * p[take])
+        y = _real(_tangent(q, xi[moved]) - xi_new)
+        hinv[moved] = _bfgs_update(hinv[moved], s, y)
+        frames[moved], f[moved], grad[moved], xi[moved] = q, f_new[take], g_new[take], xi_new
         step[active] = np.where(take, t * PAIR_STEP_GROW, t / 2)
-        predicted = t * (xi.real**2 + xi.imag**2).sum(axis=(-2, -1)) * f2
-        done = np.where(take, gain, predicted) <= rtol * f2
+        done = np.where(take, gain, t * slope * f2) <= rtol * f2
         active = active[~done]
     return evals
+
+
+def _tangent(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Projection of z onto the tangent spaces of the orthonormal frames w."""
+    wz = w.conj().swapaxes(-1, -2) @ z
+    return z - w @ ((wz + wz.conj().swapaxes(-1, -2)) / 2)
+
+
+def _log_gradient(w: np.ndarray, grad: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Tangent part of the gradient of log f^2, from the gradient of f^2."""
+    return _tangent(w, grad) / np.where(f2 > 0, f2, 1.0)[:, None, None]
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """(k, d, 2) complex frames as (k, 4d) real vectors: Re tr(x^dag y) = x . y."""
+    return np.ascontiguousarray(z).view(float).reshape(z.shape[0], 4 * z.shape[1])
+
+
+def _complex(v: np.ndarray) -> np.ndarray:
+    """Inverse of _real for a (k, 4d) or (k, 4d, 1) real array."""
+    return np.ascontiguousarray(v).reshape(v.shape[0], v.shape[1] // 4, 4).view(complex)
+
+
+def _bfgs_update(hinv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of a stack of inverse Hessian estimates for minimizing -log f^2.
+
+    s is the step and y the fall of the gradient of log f^2 along it.  An
+    estimate whose step saw no clear downward curvature (s . y at most
+    1e-12 |s| |y|) is left as it is, which keeps every estimate positive
+    definite.
+    """
+    sy = (s * y).sum(axis=-1)
+    curved = sy > 1e-12 * np.sqrt((s * s).sum(axis=-1) * (y * y).sum(axis=-1))
+    rho = np.where(curved, 1.0 / np.where(curved, sy, 1.0), 0.0)
+    hy = (hinv @ y[..., None])[..., 0]
+    ss = s[:, :, None] * s[:, None, :]
+    cross = s[:, :, None] * hy[:, None, :]
+    return (
+        hinv
+        - rho[:, None, None] * (cross + cross.swapaxes(-1, -2))
+        + (rho * (1.0 + rho * (y * hy).sum(axis=-1)))[:, None, None] * ss
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,20 @@ class TestCreatorSearchRobustness:
                 confirmed += 1
         assert confirmed > 0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_flat_ridge_band_converges(self, d):
+        # (1 - eps) P + eps R with P isotropic: the violation has a nearly
+        # flat ridge, along which plain gradient steps took a median of 2200
+        # pair evaluations at d = 2 (up to 8800); quasi-Newton steps take
+        # under 250 on every seed.
+        for seed in range(8):
+            rng = rng_from_seed(700 + seed)
+            p, r = random_isotropic(d, rng), random_cptp(d, rng)
+            ch = chn.KrausChannel(np.concatenate([np.sqrt(1 - 1e-3) * p.ops, np.sqrt(1e-3) * r.ops]))
+            verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(800 + seed))
+            assert not verdict.preserving, seed
+            assert verdict.evals <= 500, (seed, verdict.evals)
+
 
 class TestCreationWitness:
     def test_identity_channel_none(self):
