@@ -37,7 +37,6 @@ from .classify import (
     classify_channel,
     classify_qubit,
     classify_qutrit,
-    creation_witness,
     find_decohering_basis,
     fit_isotropic,
     is_commutativity_preserving,

@@ -104,6 +104,16 @@ class KrausChannel:
         out = kernels.apply_kraus(self.ops, blocks).transpose(0, 2, 1, 3)
         return BipartiteState(da, db, DensityMatrix(out.reshape(da * db, da * db)))
 
+    def unit_images(self) -> np.ndarray:
+        """The superoperator as a (d, d, d, d) array: [i, j] holds L(E_ij).
+
+        E_ij is the matrix unit |i><j|, and L(E_ij)[a, b] = sum_k
+        E_k[a, i] conj(E_k[b, j]): one Gram product of the Kraus columns.
+        """
+        d = self.dim
+        cols = self.ops.transpose(2, 1, 0).reshape(d * d, -1)  # cols[(i, a), k] = E_k[a, i]
+        return (cols @ cols.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+
     def apply_to_identity(self) -> np.ndarray:
         """L(I) = sum_i E_i E_i^dag (equals I iff the channel is unital)."""
         return np.einsum("kij,klj->il", self.ops, self.ops.conj())
@@ -174,14 +184,8 @@ def channel_action_distance(a: KrausChannel, b: KrausChannel) -> float:
     """max_ij ||A(E_ij) - B(E_ij)||_F over the matrix units E_ij."""
     if a.dim != b.dim:
         raise ValueError("channels act on different dimensions")
-    d = a.dim
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            worst = max(worst, linalg.frobenius(a.apply_matrix(e) - b.apply_matrix(e)))
-    return worst
+    diff = a.unit_images() - b.unit_images()
+    return float(np.linalg.norm(diff, axis=(2, 3)).max())
 
 
 # ---------------------------------------------------------------------------

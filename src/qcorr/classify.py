@@ -155,9 +155,7 @@ def preservation_bound(channel: chn.KrausChannel) -> float:
     """
     d = channel.dim
     n = d * d
-    # images[(i, j)] = L(E_ij); L(E_ij)[a, b] = sum_k E_k[a, i] conj(E_k[b, j])
-    cols = channel.ops.transpose(2, 1, 0).reshape(n, -1)
-    images = (cols @ cols.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, d, d)
+    images = channel.unit_images().reshape(n, d, d)  # images[i * d + j] = L(E_ij)
     # prod[p, a, q, c] = (L_p L_q)[a, c]
     prod = images.reshape(n * d, d) @ images.transpose(1, 0, 2).reshape(d, n * d)
     prod = prod.reshape(n, d, n, d).transpose(1, 3, 0, 2)
@@ -188,7 +186,12 @@ def is_commutativity_preserving(
     best stays below early_stop, default max(100 tol, 1e-3)); the checks
     before it draw nothing from rng.  A violation is a proof; a search pass
     whose bound exceeds tol only says none was found within the budget.
+    tol must be finite and positive: a zero, negative or NaN tol would turn
+    rounding noise into a "proof" of creation, and an infinite one would
+    certify every channel.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     d = channel.dim
     if d < 2:
         return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True)
@@ -419,24 +422,6 @@ def witness_from_pair(
     )
 
 
-def creation_witness(
-    channel: chn.KrausChannel,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = CP_TOL,
-    rng: np.random.Generator,
-    starts: int = DEFAULT_STARTS,
-) -> CreationWitness | None:
-    """Search for a creation witness; absent when the channel looks preserving."""
-    verdict = is_commutativity_preserving(
-        channel, budget=budget, tol=tol, rng=rng, starts=starts
-    )
-    if verdict.preserving:
-        return None
-    assert verdict.witness_pair is not None
-    return witness_from_pair(channel, *verdict.witness_pair, tol=tol)
-
-
 def block_overlap(phi: np.ndarray, psi: np.ndarray) -> complex:
     """<phi_r|psi_r> of the components inside the first d-1 levels."""
     phi = np.asarray(phi, dtype=complex).reshape(-1)
@@ -529,15 +514,13 @@ def find_decohering_basis(
     pairwise commute (within normalized tol) their common eigenbasis
     diagonalizes L(rho) for every rho by linearity.  Returns None otherwise.
     """
-    outs = [channel.apply_matrix(h) for h in hermitian_basis(channel.dim)]
-    members = [o for o in outs if linalg.frobenius(o) > 1e-12]
-    worst = 0.0
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            worst = max(worst, linalg.commutation_defect(a, b))
-            if worst > tol:
-                return None
-    if not members:
+    skip = 1e-12
+    outs = kernels.apply_kraus(channel.ops, np.array(hermitian_basis(channel.dim)))
+    worst, _ = linalg.worst_commutation_defect(outs, skip=skip, stop=tol)
+    if worst > tol:
+        return None
+    members = outs[np.linalg.norm(outs, axis=(1, 2)) > skip]
+    if not len(members):
         return np.eye(channel.dim, dtype=complex)
     return linalg.simultaneous_diagonalization(members, tol=max(tol, 10 * worst))
 
@@ -585,43 +568,24 @@ def fit_isotropic(
     if rng is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0xF17)))
 
-    units = []
-    outs = []
-    for i in range(d):
-        row_u, row_o = [], []
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            row_u.append(e)
-            row_o.append(channel.apply_matrix(e))
-        units.append(row_u)
-        outs.append(row_o)
-
-    eye_over_d = np.eye(d) / d
-    depol_dist = max(
-        linalg.frobenius(outs[i][j] - (eye_over_d if i == j else 0))
-        for i in range(d)
-        for j in range(d)
-    )
-    if depol_dist <= tol:
+    outs = channel.unit_images()
+    # [i, j] = delta_ij I/d: the unit images of the completely depolarizing channel
+    depol = np.einsum("ij,ab->ijab", np.eye(d), np.eye(d)) / d
+    if np.linalg.norm(outs - depol, axis=(2, 3)).max() <= tol:
         return IsotropicFit(p=0.0, gamma=None, u=None)
 
     probe = random_ket(d, rng)
     w = linalg.hermitian_eig(channel.apply_matrix(np.outer(probe, probe.conj()))).eigenvalues
-    candidates = []
-    if d >= 2:
-        candidates.append(1.0 - d * float(np.mean(w[:-1])))  # odd eigenvalue on top
-        candidates.append(1.0 - d * float(np.mean(w[1:])))  # odd eigenvalue at bottom
+    candidates = (
+        1.0 - d * float(np.mean(w[:-1])),  # odd eigenvalue on top
+        1.0 - d * float(np.mean(w[1:])),  # odd eigenvalue at bottom
+    )
     gate = max(1e-4, 100 * tol)
 
     for p in candidates:
         if abs(p) <= max(10 * tol, 1e-6):
             continue
-        gamma_out = np.empty((d, d, d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                corr = (1 - p) / d * np.eye(d) if i == j else 0.0
-                gamma_out[i, j] = (outs[i][j] - corr) / p
+        gamma_out = (outs - (1 - p) * depol) / p
         for gamma in ("unitary", "transpose"):
             if gamma == "unitary":
                 j_mat = gamma_out.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
@@ -639,12 +603,7 @@ def fit_isotropic(
             if not lo - 1e-12 <= p <= hi + 1e-12:
                 continue
             fitted = chn.isotropic(d, float(np.clip(p, lo, hi)), gamma=gamma, u=u)
-            dist = max(
-                linalg.frobenius(fitted.apply_matrix(units[i][j]) - outs[i][j])
-                for i in range(d)
-                for j in range(d)
-            )
-            if dist <= tol:
+            if chn.channel_action_distance(fitted, channel) <= tol:
                 return IsotropicFit(p=float(p), gamma=gamma, u=u)
     return None
 

@@ -13,6 +13,7 @@ anomaly, selftest failure); 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -34,6 +35,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",
@@ -48,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--seed", type=int, default=None,
                         help="64-bit master seed; drawn from entropy (and echoed) if omitted")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
         sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
                         help=("pair evaluations per preservation search (msf: ascent "

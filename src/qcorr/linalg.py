@@ -1,8 +1,11 @@
 """Dense complex linear algebra for small (d <= 16) operator problems.
 
-All functions are pure; matrices are plain complex ndarrays.  Default
-tolerances: Hermiticity 1e-10, commutator checks 1e-9, both relative to the
-operand norms.
+All functions are pure; matrices are plain complex ndarrays, and a family
+of matrices is one stacked (n, d, d) array.  worst_commutation_defect is
+the single "normal and pairwise commuting" test: the classical-on-B
+detector, the decohering-channel detector and the input check of
+simultaneous_diagonalization all call it.  Default tolerances: Hermiticity
+1e-10, commutator checks 1e-9, both relative to the operand norms.
 """
 
 from __future__ import annotations
@@ -19,21 +22,12 @@ COMMUTATOR_TOL = 1e-9
 _SIMDIAG_TRIES = 5
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
-
-
-def antihermitian_part(m: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix B in the decomposition M = A + iB."""
-    return (m - m.conj().T) / 2j
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -49,30 +43,39 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def commutation_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """||[a, b]||_F / (||a||_F ||b||_F); zero if either operand vanishes."""
-    na = frobenius(a)
-    nb = frobenius(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return frobenius(commutator(a, b)) / (na * nb)
+def worst_commutation_defect(
+    mats: np.ndarray, *, skip: float = 0.0, stop: float = np.inf
+) -> tuple[float, tuple[int, int] | None]:
+    """Largest normalized defect of a stacked (n, d, d) family, and where it is.
 
+    The pair defect of members i < j is ||[M_i, M_j]||_F / (||M_i||_F ||M_j||_F);
+    the normality defect of member i is ||[M_i, M_i^dag]||_F / ||M_i||_F^2 and
+    is reported as the pair (i, i).  Both vanish for every member exactly
+    when the family is normal and pairwise commuting.  Members with norm at
+    most skip are left out; the pair is None when no defect is positive.
 
-def is_normal(m: np.ndarray, tol: float = COMMUTATOR_TOL) -> bool:
-    """True iff ||M M^dag - M^dag M||_F <= tol * (1 + ||M||_F^2)."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    defect = frobenius(m @ m.conj().T - m.conj().T @ m)
-    return defect <= tol * (1 + frobenius(m) ** 2)
-
-
-def normality_defect(m: np.ndarray) -> float:
-    """||M M^dag - M^dag M||_F / ||M||_F^2; zero for the zero matrix."""
-    n = frobenius(m)
-    if n == 0.0:
-        return 0.0
-    return frobenius(m @ m.conj().T - m.conj().T @ m) / n**2
+    Scans row by row, member i against M_i^dag and members i+1..n-1 in one
+    batched product, so no temporary grows like n^2 d^2.  Ties go to the
+    first pair in row-major order.  Returns after the first row whose worst
+    exceeds stop: the value is then a lower bound that already exceeds it.
+    """
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"need an (n, d, d) stack of square matrices, got shape {mats.shape}")
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    keep = np.flatnonzero(norms > skip)
+    members, norms = mats[keep], norms[keep]
+    worst, pair = 0.0, None
+    for r, a in enumerate(members):
+        # others[0] = M_r^dag, so defects[0] is the normality defect of M_r
+        others = np.concatenate((a.conj().T[None], members[r + 1 :]))
+        defects = np.linalg.norm(a @ others - others @ a, axis=(1, 2)) / (norms[r] * norms[r:])
+        k = int(np.argmax(defects))
+        if defects[k] > worst:
+            worst, pair = float(defects[k]), (int(keep[r]), int(keep[r + k]))
+        if worst > stop:
+            break
+    return worst, pair
 
 
 @dataclass(frozen=True)
@@ -95,21 +98,6 @@ def hermitian_eig(m: np.ndarray, tol: float = HERM_TOL) -> Spectrum:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = kernels.eigh(hermitian_part(m))
     return Spectrum(eigenvalues=np.asarray(w), eigenvectors=np.asarray(v))
-
-
-def degenerate_clusters(eigenvalues: np.ndarray, rel_tol: float = 1e-8) -> list[list[int]]:
-    """Group ascending eigenvalues into clusters closer than rel_tol * (1 + range)."""
-    w = np.asarray(eigenvalues, dtype=float)
-    if w.size == 0:
-        return []
-    gap = rel_tol * (1 + float(w[-1] - w[0]))
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[clusters[-1][0]] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
 
 
 def von_neumann_entropy(eigenvalues_or_rho: np.ndarray, atol: float = 1e-10) -> float:
@@ -149,49 +137,44 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
 
 
 def simultaneous_diagonalization(
-    mats: list[np.ndarray] | tuple[np.ndarray, ...],
+    mats: list[np.ndarray] | tuple[np.ndarray, ...] | np.ndarray,
     tol: float = COMMUTATOR_TOL,
     max_tries: int = _SIMDIAG_TRIES,
 ) -> np.ndarray:
     """Common eigenbasis of a family of commuting normal matrices.
 
-    Diagonalizes a random Hermitian combination of the Hermitian and
-    anti-Hermitian parts (generic coefficients split accidental degeneracies
-    with probability one), then verifies every conjugated matrix is diagonal;
-    retries with fresh coefficients before giving up.  Returns the unitary V
-    with V^dag M_i V diagonal within tol * (1 + ||M_i||_F).
+    The family must be normal and pairwise commuting within tol in the
+    normalized sense of worst_commutation_defect.  Diagonalizes a random
+    real combination of the Hermitian and anti-Hermitian parts (generic
+    coefficients split accidental degeneracies with probability one), then
+    verifies every conjugated matrix is diagonal; retries with fresh
+    coefficients before giving up.  Returns the unitary V with V^dag M_i V
+    diagonal within tol * (1 + ||M_i||_F).
     """
-    if not mats:
+    if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("all matrices must be square with a common dimension")
-        if not is_normal(m, tol):
+    d = np.shape(mats[0])[0]
+    if any(np.shape(m) != (d, d) for m in mats):
+        raise ValueError("all matrices must be square with a common dimension")
+    stack = np.asarray(mats, dtype=complex)
+    worst, pair = worst_commutation_defect(stack, stop=tol)
+    if worst > tol:
+        if pair[0] == pair[1]:
             raise ValueError("family contains a non-normal matrix")
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if commutation_defect(a, b) > tol:
-                raise ValueError("family is not commuting within tolerance")
+        raise ValueError("family is not commuting within tolerance")
 
-    parts = []
-    for m in mats:
-        parts.append(hermitian_part(m))
-        parts.append(antihermitian_part(m))
+    adj = stack.conj().transpose(0, 2, 1)
+    # parts[2i] and parts[2i + 1] are the Hermitian A_i and B_i in M_i = A_i + i B_i
+    parts = np.stack(((stack + adj) / 2, (stack - adj) / 2j), axis=1).reshape(-1, d, d)
+    bound = tol * (1 + np.linalg.norm(stack, axis=(1, 2)))
+    off_diag = ~np.eye(d, dtype=bool)
     # Fixed internal stream: any verified draw is a valid answer, so a fixed
     # seed keeps the result reproducible without threading an rng through.
     rng = np.random.default_rng(0x51D1A6)
     for _ in range(max_tries):
         coeff = rng.standard_normal(len(parts))
-        h = sum(c * p for c, p in zip(coeff, parts))
-        v = hermitian_eig(h).eigenvectors
-        if all(_is_diagonalized(v, m, tol) for m in mats):
+        v = hermitian_eig(np.tensordot(coeff, parts, axes=1)).eigenvectors
+        t = v.conj().T @ stack @ v
+        if np.all(np.linalg.norm(t[:, off_diag], axis=1) <= bound):
             return v
     raise ValueError("failed to find a common eigenbasis (degenerate family?)")
-
-
-def _is_diagonalized(v: np.ndarray, m: np.ndarray, tol: float) -> bool:
-    t = v.conj().T @ m @ v
-    off = t - np.diag(np.diag(t))
-    return frobenius(off) <= tol * (1 + frobenius(m))

@@ -21,14 +21,6 @@ KET_ATOL = 1e-12
 CLASSICALITY_TOL = 1e-9
 
 
-def normalize_ket(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
 def check_ket(v: np.ndarray, atol: float = KET_ATOL) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(v) - 1.0) > atol:
@@ -128,12 +120,6 @@ class BipartiteState:
     def mat(self) -> np.ndarray:
         return self.joint.mat
 
-    def reduced_a(self) -> DensityMatrix:
-        return DensityMatrix(linalg.partial_trace(self.mat, (self.dim_a, self.dim_b), "a"))
-
-    def reduced_b(self) -> DensityMatrix:
-        return DensityMatrix(linalg.partial_trace(self.mat, (self.dim_a, self.dim_b), "b"))
-
     def __repr__(self) -> str:
         return f"BipartiteState(dim_a={self.dim_a}, dim_b={self.dim_b})"
 
@@ -211,34 +197,17 @@ def is_classical_on_b(state: BipartiteState, tol: float = CLASSICALITY_TOL) -> C
     tol (normalized defects).  On success the common eigenbasis of the
     blocks is returned as the non-disturbing measurement basis.
     """
-    blocks = block_decompose(state)
-    da = state.dim_a
-    flat: list[tuple[tuple[int, int], np.ndarray, float]] = []
-    for k in range(da):
-        for l in range(da):
-            b = blocks[k, l]
-            flat.append(((k, l), b, linalg.frobenius(b)))
-
-    worst = 0.0
-    worst_pair: tuple[tuple[int, int], tuple[int, int]] | None = None
+    da, db = state.dim_a, state.dim_b
+    # flat[k * da + l] = C_kl
+    flat = block_decompose(state).reshape(da * da, db, db)
     skip = 1e-14
-    for i, (idx, b, n) in enumerate(flat):
-        if n <= skip:
-            continue
-        defect = linalg.normality_defect(b)
-        if defect > worst:
-            worst, worst_pair = defect, (idx, idx)
-        for jdx, c, m in flat[i + 1 :]:
-            if m <= skip:
-                continue
-            defect = linalg.frobenius(linalg.commutator(b, c)) / (n * m)
-            if defect > worst:
-                worst, worst_pair = defect, (idx, jdx)
+    worst, pair = linalg.worst_commutation_defect(flat, skip=skip)
+    worst_pair = None if pair is None else (divmod(pair[0], da), divmod(pair[1], da))
 
     classical = worst <= tol
     basis = None
     if classical:
-        members = [b for _, b, n in flat if n > skip]
+        members = flat[np.linalg.norm(flat, axis=(1, 2)) > skip]
         # Blocks are normal and commuting here, so a common basis exists;
         # widen the verification tolerance to what we just certified.
         basis = linalg.simultaneous_diagonalization(members, tol=max(tol, 10 * worst))

@@ -136,3 +136,38 @@ def sampled_pair_violation(channel, n_pairs: int, rng: np.random.Generator) -> f
     z = rng.standard_normal((n_pairs, d, d)) + 1j * rng.standard_normal((n_pairs, d, d))
     q = np.linalg.qr(z)[0]
     return float(pair_violations(channel, q[:, :, 0], q[:, :, 1]).max())
+
+
+def pairwise_worst_defect(mats, skip: float = 0.0):
+    """Largest normalized normality / commutator defect of a family, by pairwise loops.
+
+    Reference for linalg.worst_commutation_defect: members with norm at
+    most skip are ignored, member i is checked for normality ((i, i)) and
+    then against every later member, and the first strict maximum wins.
+    Returns (worst, pair), with pair None when no defect is positive.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    norms = [float(np.linalg.norm(m)) for m in mats]
+    worst, pair = 0.0, None
+    for i, (a, na) in enumerate(zip(mats, norms)):
+        if na <= skip:
+            continue
+        defect = float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a)) / na**2
+        if defect > worst:
+            worst, pair = defect, (i, i)
+        for j in range(i + 1, len(mats)):
+            b, nb = mats[j], norms[j]
+            if nb <= skip:
+                continue
+            defect = float(np.linalg.norm(a @ b - b @ a)) / (na * nb)
+            if defect > worst:
+                worst, pair = defect, (i, j)
+    return worst, pair
+
+
+def pair_defect(mats, pair) -> float:
+    """The defect that pairwise_worst_defect assigns to one (i, j) pair."""
+    i, j = pair
+    a = np.asarray(mats[i], dtype=complex)
+    b = a.conj().T if i == j else np.asarray(mats[j], dtype=complex)
+    return float(np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -69,6 +69,17 @@ class TestApply:
         with pytest.raises(ValueError):
             chn.identity_channel(2).apply(random_density(3, rng))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unit_images_match_apply_matrix(self, d, rng):
+        ch = random_cptp(d, rng)
+        images = ch.unit_images()
+        assert images.shape == (d, d, d, d)
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                assert linalg.frobenius(images[i, j] - ch.apply_matrix(e)) < 1e-12
+
 
 class TestApplyLocalB:
     def test_identity(self, rng):

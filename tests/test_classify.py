@@ -4,6 +4,7 @@ from helpers import (
     amplitude_damping,
     brute_force_msf,
     exact_entangled_fraction_2q,
+    pairwise_worst_defect,
     qubit_cp_grid_max,
     sampled_pair_violation,
 )
@@ -16,6 +17,7 @@ from qcorr.channels import maximally_entangled_ket
 from qcorr.sampling import (
     haar_unitary,
     random_bipartite,
+    random_block_unitary_mixture,
     random_completely_decohering,
     random_cptp,
     random_isotropic,
@@ -53,6 +55,13 @@ class TestCommutativityPreserving:
         ch = chn.completely_decohering(np.eye(3), [np.diag([1.0 * (i == j) for j in range(3)]) for i in range(3)])
         verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(2))
         assert verdict.preserving
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_malformed_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            classify.is_commutativity_preserving(
+                chn.depolarizing(2, 0.3), tol=tol, rng=rng_from_seed(1)
+            )
 
     def test_isotropic_preserves(self, rng):
         ch = random_isotropic(3, rng)
@@ -265,20 +274,24 @@ class TestCreatorSearchRobustness:
             assert verdict.evals <= 500, (seed, verdict.evals)
 
 
+def search_witness(ch, seed):
+    """The witness for the pair a preservation search finds, or None on a pass."""
+    verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(seed))
+    if verdict.preserving:
+        return None
+    return classify.witness_from_pair(ch, *verdict.witness_pair, tol=verdict.tol)
+
+
 class TestCreationWitness:
     def test_identity_channel_none(self):
-        assert (
-            classify.creation_witness(chn.identity_channel(2), rng=rng_from_seed(8)) is None
-        )
+        assert search_witness(chn.identity_channel(2), 8) is None
 
     def test_depolarizing_none(self):
-        assert (
-            classify.creation_witness(chn.depolarizing(2, 0.3), rng=rng_from_seed(9)) is None
-        )
+        assert search_witness(chn.depolarizing(2, 0.3), 9) is None
 
     def test_random_channel_witness_verifies(self, rng):
         ch = random_cptp(3, rng)
-        w = classify.creation_witness(ch, rng=rng_from_seed(10))
+        w = search_witness(ch, 10)
         assert w is not None
         assert w.input_quantumness <= 1e-9
         assert is_classical_on_b(w.input_state).is_classical_on_b
@@ -287,7 +300,7 @@ class TestCreationWitness:
 
     def test_witness_output_equals_channel_image(self, rng):
         ch = random_cptp(2, rng)
-        w = classify.creation_witness(ch, rng=rng_from_seed(11))
+        w = search_witness(ch, 11)
         assert np.allclose(
             w.output_state.mat, ch.apply_local_b(w.input_state).mat, atol=1e-12
         )
@@ -396,6 +409,34 @@ class TestStructureDetectors:
 
     def test_full_depolarizing_is_decohering(self):
         assert classify.find_decohering_basis(chn.depolarizing(3, 0.0)) is not None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_decohering_decision_matches_pairwise_oracle(self, d):
+        rng = rng_from_seed(60 + d)
+        cases = [
+            random_completely_decohering(d, rng),
+            # rank-deficient outputs: only two of the d POVM elements are nonzero
+            chn.completely_decohering(
+                haar_unitary(d, rng), random_povm(d, 2, rng) + [np.zeros((d, d))] * (d - 2)
+            ),
+            chn.depolarizing(d, 0.0),
+            chn.depolarizing(d, 0.4),
+            random_isotropic(d, rng),
+            random_unital_mixture(d, rng),
+            random_cptp(d, rng),
+        ]
+        if d >= 3:
+            cases.append(random_block_unitary_mixture(d, rng))
+        tol = classify.DETECTOR_TOL
+        for ch in cases:
+            images = [ch.apply_matrix(h) for h in classify.hermitian_basis(d)]
+            worst, _ = pairwise_worst_defect(images, skip=1e-12)
+            found = classify.find_decohering_basis(ch, tol)
+            assert (found is not None) == (worst <= tol), ch
+            if found is not None:
+                for m in images:
+                    t = found.conj().T @ m @ found
+                    assert linalg.frobenius(t - np.diag(np.diag(t))) <= 1e-9 * (1 + linalg.frobenius(m))
 
 
 class TestIsotropicFit:

@@ -221,6 +221,17 @@ class TestNonPositiveCounts:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMalformedTolerance:
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_exit_2(self, files, capsys, tol):
+        _, write = files
+        path = write("dep.json", jsonio.channel_to_json(chn.depolarizing(2, 0.3)))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--channel", path, "--seed", "1", "--tol", tol])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestWorkerEnv:
     def test_thread_env_does_not_change_results(self, capsys, monkeypatch):
         argv = ["scan", "--dim", "2", "--samples", "6", "--seed", "13",

@@ -68,7 +68,8 @@ class TestStateFiles:
 class TestWitnessRoundTrip:
     def test_reloaded_witness_reverifies(self, rng):
         ch = random_cptp(3, rng)
-        w = classify.creation_witness(ch, rng=rng_from_seed(1))
+        verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(1))
+        w = classify.witness_from_pair(ch, *verdict.witness_pair)
         obj = json.loads(json.dumps(jsonio.witness_to_json(w)))
         back = jsonio.witness_from_json(obj)
         # quantumness is recomputed from the reloaded states, not trusted

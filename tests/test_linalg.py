@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pair_defect, pairwise_worst_defect
+
 from qcorr import linalg
 from qcorr.sampling import haar_unitary, rng_from_seed
 
@@ -78,10 +80,6 @@ class TestHermitianEig:
             v = spec.eigenvectors
             assert linalg.frobenius(v.conj().T @ v - np.eye(d)) < 1e-12
 
-    def test_degenerate_clusters(self):
-        w = np.array([0.0, 0.0, 1.0, 1.0 + 1e-12, 2.0])
-        assert linalg.degenerate_clusters(w) == [[0, 1], [2, 3], [4]]
-
 
 class TestEntropy:
     def test_pure_state(self):
@@ -111,15 +109,89 @@ class TestEntropy:
             assert mixed >= avg - 1e-9
 
 
-class TestIsNormal:
+JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def random_family(n, d, rng):
+    """A stack mixing commuting normal members, generic ones, zeros and Jordan-like ones."""
+    u = haar_unitary(d, rng)
+    out = []
+    for _ in range(n):
+        kind = rng.integers(4)
+        if kind == 0:  # normal, diagonal in the shared basis u
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            out.append((u * z) @ u.conj().T)
+        elif kind == 1:
+            out.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        elif kind == 2:
+            out.append(np.zeros((d, d), dtype=complex))
+        else:  # nilpotent: far from normal
+            out.append(np.triu(rng.standard_normal((d, d)), 1).astype(complex))
+    return np.array(out)
+
+
+class TestWorstCommutationDefect:
+    def test_matches_pairwise_oracle(self):
+        rng = rng_from_seed(21)
+        for trial in range(200):
+            n, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            mats = random_family(n, d, rng)
+            skip = (0.0, 1e-14)[trial % 2]
+            worst, pair = linalg.worst_commutation_defect(mats, skip=skip)
+            ref, ref_pair = pairwise_worst_defect(mats, skip=skip)
+            assert worst == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert (pair is None) == (ref_pair is None)
+            if pair is not None:
+                # ties (e.g. adjoint pairs) may resolve to another maximal pair
+                assert pair[0] <= pair[1]
+                assert pair_defect(mats, pair) == pytest.approx(ref, rel=1e-12)
+
+    def test_commuting_normal_family_is_zero(self, rng):
+        u = haar_unitary(4, rng)
+        mats = np.array([(u * (rng.standard_normal(4) + 1j * rng.standard_normal(4))) @ u.conj().T
+                         for _ in range(6)])
+        worst, _ = linalg.worst_commutation_defect(mats)
+        assert worst < 1e-14
+
     def test_hermitian_is_normal(self, rng):
-        assert linalg.is_normal(random_hermitian(4, rng))
+        assert linalg.worst_commutation_defect(random_hermitian(4, rng)[None]) == (0.0, None)
 
     def test_unitary_is_normal(self, rng):
-        assert linalg.is_normal(haar_unitary(4, rng))
+        worst, _ = linalg.worst_commutation_defect(haar_unitary(4, rng)[None])
+        assert worst < 1e-14
 
-    def test_jordan_block_is_not(self):
-        assert not linalg.is_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_jordan_block_is_not_normal(self):
+        worst, pair = linalg.worst_commutation_defect(np.array([JORDAN, np.eye(2)]))
+        assert worst == pytest.approx(np.sqrt(2))
+        assert pair == (0, 0)
+
+    def test_pauli_pair_does_not_commute(self):
+        worst, pair = linalg.worst_commutation_defect(np.array([SX, SZ, SY]), skip=1e-14)
+        assert worst == pytest.approx(np.sqrt(2))
+        assert pair == (0, 1)
+
+    def test_zero_members_are_skipped(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        assert linalg.worst_commutation_defect(np.array([zero, SX, zero])) == (0.0, None)
+        assert linalg.worst_commutation_defect(np.array([zero, zero])) == (0.0, None)
+        worst, pair = linalg.worst_commutation_defect(np.array([zero, SX, zero, SY]))
+        assert pair == (1, 3)
+        # members at or below skip are ignored, not divided by
+        worst, pair = linalg.worst_commutation_defect(np.array([1e-15 * JORDAN, SX]), skip=1e-14)
+        assert (worst, pair) == (0.0, None)
+
+    def test_stop_returns_after_first_offending_row(self):
+        mats = np.array([SX, SY, 2 * JORDAN, SZ])
+        full, _ = linalg.worst_commutation_defect(mats)
+        early, pair = linalg.worst_commutation_defect(mats, stop=1.0)
+        assert pair[0] == 0 and early > 1.0
+        assert early <= full
+
+    def test_rejects_non_stacks(self):
+        with pytest.raises(ValueError, match="stack"):
+            linalg.worst_commutation_defect(SX)
+        with pytest.raises(ValueError, match="stack"):
+            linalg.worst_commutation_defect(np.zeros((3, 2, 3)))
 
 
 class TestSimultaneousDiagonalization:

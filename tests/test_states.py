@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
-from helpers import grid_min_disturbance, grid_oracle_is_classical, GRID_ORACLE_THRESHOLD
+from helpers import (
+    GRID_ORACLE_THRESHOLD,
+    grid_min_disturbance,
+    grid_oracle_is_classical,
+    pair_defect,
+    pairwise_worst_defect,
+)
 
 from qcorr import linalg
 from qcorr.channels import maximally_entangled_ket
-from qcorr.sampling import haar_unitary, random_density, random_half_classical, rng_from_seed
+from qcorr.sampling import (
+    haar_unitary,
+    random_bipartite,
+    random_density,
+    random_half_classical,
+    rng_from_seed,
+)
 from qcorr.states import (
     BipartiteState,
     DensityMatrix,
@@ -145,6 +157,23 @@ class TestClassicalityDetector:
         assert not rep.is_classical_on_b
         assert not grid_oracle_is_classical(bad)
         assert rep.worst_pair is not None
+
+    @pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2)])
+    def test_quantumness_matches_pairwise_oracle(self, da, db):
+        rng = rng_from_seed(40 + 10 * da + db)
+        states = [random_bipartite(da, db, rng) for _ in range(15)]
+        states += [random_half_classical(da, db, rng) for _ in range(5)]
+        states.append(random_half_classical(da, db, rng, n_terms=1))
+        for st in states:
+            rep = is_classical_on_b(st)
+            flat = block_decompose(st).reshape(da * da, db, db)
+            ref, _ = pairwise_worst_defect(flat, skip=1e-14)
+            assert rep.quantumness == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert rep.is_classical_on_b == (ref <= 1e-9)
+            if ref > 1e-9:
+                (k, l), (m, n) = rep.worst_pair
+                at_pair = pair_defect(flat, (k * da + l, m * da + n))
+                assert at_pair == pytest.approx(rep.quantumness, rel=1e-12)
 
     def test_bell_state_not_classical(self):
         rep = is_classical_on_b(bell_state())
