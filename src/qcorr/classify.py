@@ -43,6 +43,7 @@ from .sampling import (
     random_isotropic,
     random_ket,
     random_unital_mixture,
+    rng_from_seed,
     substream,
 )
 from .states import (
@@ -83,7 +84,9 @@ class CPVerdict:
     verdict that is a proof: every creator, and a pass whose upper_bound is
     at most tol.  evals counts pair evaluations, at most budget: the
     screened pairs plus one per polished frame per ascent step.  A
-    certified pass ran no search, so its evals is 0.
+    certified pass ran no search, so its evals is 0.  The search screens a
+    fixed sequence of pairs, so every field is a function of the channel,
+    budget and tol alone.
     """
 
     preserving: bool
@@ -173,7 +176,6 @@ def is_commutativity_preserving(
     *,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    rng: np.random.Generator,
     starts: int = DEFAULT_STARTS,
     early_stop: float | None = None,
 ) -> CPVerdict:
@@ -181,11 +183,13 @@ def is_commutativity_preserving(
 
     The computational pair (e0, e1) is evaluated first.  If it does not
     violate, preservation_bound decides: a bound at most tol is a certified
-    pass and no search runs.  Otherwise _search_pairs screens starts pairs
-    and polishes the best (more of them to a tighter tolerance when the
-    best stays below early_stop, default max(100 tol, 1e-3)); the checks
-    before it draw nothing from rng.  A violation is a proof; a search pass
-    whose bound exceeds tol only says none was found within the budget.
+    pass and no search runs.  Otherwise _search_pairs screens the first
+    starts of the fixed screen_frames and polishes the best (more of them
+    to a tighter tolerance when the best stays below early_stop, default
+    max(100 tol, 1e-3)).  Nothing is random: the verdict, its witness pair
+    and evals depend only on the channel and the arguments.  A violation
+    is a proof; a search pass whose bound exceeds tol only says none was
+    found within the budget.
     tol must be finite and positive: a zero, negative or NaN tol would turn
     rounding noise into a "proof" of creation, and an infinite one would
     certify every channel.
@@ -207,7 +211,7 @@ def is_commutativity_preserving(
             return CPVerdict(True, probe, None, tol, 0, budget, upper, True)
 
     frame, evals = _search_pairs(
-        channel.ops, rng=rng, budget=budget, starts=starts, early_stop=early_stop
+        channel.ops, budget=budget, starts=starts, early_stop=early_stop
     )
     phi, psi = frame[:, 0].copy(), frame[:, 1].copy()
     violation = pair_violation_direct(channel, phi, psi)
@@ -229,27 +233,43 @@ PAIR_STEP_GROW = 1.5
 PAIR_POLISH_RTOL = 1e-6
 PAIR_BAND_RTOL = 1e-9
 PAIR_BAND_FRAMES = 4
+SCREEN_SEED = 0x5C4EE7
 
 
-def _search_pairs(
-    kraus: np.ndarray, *, rng: np.random.Generator, budget: int, starts: int, early_stop: float
-) -> tuple[np.ndarray, int]:
-    """Best orthonormal pair frame (d, 2) found, and the pair evaluations used.
+@lru_cache(maxsize=None)
+def screen_frames(d: int, n: int) -> np.ndarray:
+    """The first n pair frames of the fixed screen at dimension d, as (n, d, 2).
 
-    Screen: min(starts, budget) frames in one batched call, frame 0 being
-    (e0, e1) and frame i the first two columns of the i-th haar_unitary
-    draw.  The screened winner is polished to PAIR_POLISH_RTOL.  Only if it
-    is still below early_stop do the best PAIR_BAND_FRAMES screened frames
-    (the polished winner among them) ascend together to PAIR_BAND_RTOL.
-    budget caps the evaluations: one per screened frame plus one per
-    polished frame per step.
+    Frame 0 is (e0, e1) and frame i is the first two columns of the i-th
+    haar_unitary draw from the Philox stream of SCREEN_SEED.  The draws come
+    in order, so a shorter screen is a prefix of a longer one.  Cached per
+    (d, n) and read-only.
     """
-    d = kraus.shape[1]
-    n = max(1, min(starts, budget))
+    rng = rng_from_seed(SCREEN_SEED)
     frames = np.empty((n, d, 2), dtype=complex)
     frames[0] = np.eye(d)[:, :2]
     for i in range(1, n):
         frames[i] = haar_unitary(d, rng)[:, :2]
+    frames.setflags(write=False)
+    return frames
+
+
+def _search_pairs(
+    kraus: np.ndarray, *, budget: int, starts: int, early_stop: float
+) -> tuple[np.ndarray, int]:
+    """Best orthonormal pair frame (d, 2) found, and the pair evaluations used.
+
+    Screen: the first min(starts, budget) screen_frames in one batched call.
+    The screened winner is polished to PAIR_POLISH_RTOL.  Only if it is
+    still below early_stop do the best PAIR_BAND_FRAMES screened frames (the
+    polished winner among them) ascend together to PAIR_BAND_RTOL.  budget
+    caps the evaluations: one per screened frame plus one per polished
+    frame per step.  Nothing is random, so the result depends on the
+    channel alone.
+    """
+    d = kraus.shape[1]
+    n = max(1, min(starts, budget))
+    frames = screen_frames(d, n).copy()
     f, grad = kernels.pair_violation_grad(frames, kraus)
     evals = n
     order = np.argsort(-f, kind="stable")
@@ -290,36 +310,56 @@ def _ascend_pairs(
     refused; a step that would lower f is never taken.  A frame is done
     once a taken step gains at most rtol f^2, or once a refused step was
     too short to gain more than that to first order.
+
+    The climbing frames live in contiguous local arrays (the log-gradient
+    xi in the real (k, 4d) layout of _real) and are written back to frames,
+    f and grad only when they finish or the budget ends.
     """
-    k, d, _ = frames.shape
+    k, d = active.size, frames.shape[1]
+    w, fk, g = frames[active], f[active], grad[active]
+    xi = _log_gradient(w, g, fk * fk)
     hinv = np.broadcast_to(PAIR_STEP * np.eye(4 * d), (k, 4 * d, 4 * d)).copy()
     step = np.ones(k)
-    xi = np.zeros_like(frames)
-    xi[active] = _log_gradient(frames[active], grad[active], f[active] ** 2)
+
+    def write_back(rows):
+        frames[active[rows]], f[active[rows]], grad[active[rows]] = w[rows], fk[rows], g[rows]
+
     evals = 0
     while active.size and evals < budget:
-        active = active[: budget - evals]
-        w, f2, t, g = frames[active], f[active] ** 2, step[active], _real(xi[active])
-        p = _tangent(w, _complex(hinv[active] @ g[..., None]))
-        slope = (_real(p) * g).sum(axis=-1)
-        # QR retraction with R's diagonal positive: Gram-Schmidt on two columns
-        v = w + t[:, None, None] * p
-        q0 = v[..., 0] / np.linalg.norm(v[..., 0], axis=-1, keepdims=True)
-        v1 = v[..., 1] - q0 * (q0.conj() * v[..., 1]).sum(axis=-1, keepdims=True)
-        q = np.stack([q0, v1 / np.linalg.norm(v1, axis=-1, keepdims=True)], axis=-1)
+        if active.size > budget - evals:
+            cut = budget - evals
+            write_back(slice(cut, None))
+            active, w, fk, g, xi, hinv, step = (
+                a[:cut] for a in (active, w, fk, g, xi, hinv, step)
+            )
+        k = active.size
+        f2 = fk * fk
+        p = _tangent(w, _complex(hinv @ xi[:, :, None]))
+        p_real = _real(p)
+        slope = np.einsum("ij,ij->i", p_real, xi)
+        q = _retract(w + step[:, None, None] * p)
         f_new, g_new = kernels.pair_violation_grad(q, kraus)
-        evals += active.size
-        gain = f_new**2 - f2
+        evals += k
+        gain = f_new * f_new - f2
         take = gain >= 0
-        moved, q = active[take], q[take]
-        xi_new = _log_gradient(q, g_new[take], f_new[take] ** 2)
-        s = _real(t[take, None, None] * p[take])
-        y = _real(_tangent(q, xi[moved]) - xi_new)
-        hinv[moved] = _bfgs_update(hinv[moved], s, y)
-        frames[moved], f[moved], grad[moved], xi[moved] = q, f_new[take], g_new[take], xi_new
-        step[active] = np.where(take, t * PAIR_STEP_GROW, t / 2)
-        done = np.where(take, gain, t * slope * f2) <= rtol * f2
-        active = active[~done]
+        moved = np.count_nonzero(take)
+        if moved:
+            # a slice, not a mask, when every frame moved: no gathers in the common case
+            sel = slice(None) if moved == k else take
+            q, f_new, g_new = q[sel], f_new[sel], g_new[sel]
+            xi_new = _log_gradient(q, g_new, f_new * f_new)
+            y = _real(_tangent(q, _complex(xi[sel]))) - xi_new
+            hinv[sel] = _bfgs_update(hinv[sel], step[sel, None] * p_real[sel], y)
+            w[sel], fk[sel], g[sel], xi[sel] = q, f_new, g_new, xi_new
+        done = np.where(take, gain, step * slope * f2) <= rtol * f2
+        step = np.where(take, step * PAIR_STEP_GROW, step / 2)
+        if np.count_nonzero(done):
+            write_back(done)
+            keep = ~done
+            active, w, fk, g, xi, hinv, step = (
+                a[keep] for a in (active, w, fk, g, xi, hinv, step)
+            )
+    write_back(slice(None))
     return evals
 
 
@@ -329,28 +369,40 @@ def _tangent(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z - w @ ((wz + wz.conj().swapaxes(-1, -2)) / 2)
 
 
+def _retract(v: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of (k, d, 2) frames, R's diagonal positive (Gram-Schmidt)."""
+    a, b = v[..., 0], v[..., 1]
+    q = np.empty_like(v)
+    q[..., 0] = a = a / np.sqrt((a.conj() * a).real.sum(axis=-1, keepdims=True))
+    b = b - a * (a.conj() * b).sum(axis=-1, keepdims=True)
+    q[..., 1] = b / np.sqrt((b.conj() * b).real.sum(axis=-1, keepdims=True))
+    return q
+
+
 def _log_gradient(w: np.ndarray, grad: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Tangent part of the gradient of log f^2, from the gradient of f^2."""
-    return _tangent(w, grad) / np.where(f2 > 0, f2, 1.0)[:, None, None]
+    """Tangent part of the gradient of log f^2, from the gradient of f^2, as (k, 4d) reals."""
+    return _real(_tangent(w, grad) / np.where(f2 > 0, f2, 1.0)[:, None, None])
 
 
 def _real(z: np.ndarray) -> np.ndarray:
-    """(k, d, 2) complex frames as (k, 4d) real vectors: Re tr(x^dag y) = x . y."""
-    return np.ascontiguousarray(z).view(float).reshape(z.shape[0], 4 * z.shape[1])
+    """Contiguous (k, d, 2) complex frames as (k, 4d) real vectors: Re tr(x^dag y) = x . y."""
+    return z.reshape(z.shape[0], 2 * z.shape[1]).view(float)
 
 
 def _complex(v: np.ndarray) -> np.ndarray:
-    """Inverse of _real for a (k, 4d) or (k, 4d, 1) real array."""
-    return np.ascontiguousarray(v).reshape(v.shape[0], v.shape[1] // 4, 4).view(complex)
+    """Inverse of _real for a contiguous (k, 4d) or (k, 4d, 1) real array."""
+    return v.reshape(v.shape[0], v.shape[1] // 4, 4).view(complex)
 
 
 def _bfgs_update(hinv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """BFGS update of a stack of inverse Hessian estimates for minimizing -log f^2.
 
-    s is the step and y the fall of the gradient of log f^2 along it.  An
-    estimate whose step saw no clear downward curvature (s . y at most
-    1e-12 |s| |y|) is left as it is, which keeps every estimate positive
-    definite.
+    s is the step and y the fall of the gradient of log f^2 along it.  The
+    result H - rho (s Hy^T + Hy s^T) + rho (1 + rho y . Hy) s s^T, with
+    rho = 1/(s . y), is exactly symmetric and meets the secant condition
+    H y = s.  An estimate whose step saw no clear downward curvature (s . y
+    at most 1e-12 |s| |y|) is left as it is, which keeps every estimate
+    positive definite.
     """
     sy = (s * y).sum(axis=-1)
     curved = sy > 1e-12 * np.sqrt((s * s).sum(axis=-1) * (y * y).sum(axis=-1))
@@ -638,7 +690,6 @@ def classify_qubit(
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
     detector_tol: float = DETECTOR_TOL,
-    rng: np.random.Generator,
     starts: int = DEFAULT_STARTS,
     check_cp: bool = True,
 ) -> ClassificationVerdict:
@@ -646,7 +697,8 @@ def classify_qubit(
 
     For qubits, commutativity preservation is equivalent to being unital or
     completely decohering, so any other channel should yield a witness; the
-    CP cross-check records whether the search agreed.
+    CP cross-check records whether the search agreed.  Nothing here is
+    random, so unlike the qutrit classifier it takes no rng.
     """
     if channel.dim != 2:
         raise ValueError("classify_qubit expects a qubit channel")
@@ -656,7 +708,7 @@ def classify_qubit(
         budget=budget,
         tol=tol,
         detector_tol=detector_tol,
-        rng=rng,
+        rng=None,
         starts=starts,
         check_cp=check_cp,
         has_theorem=True,
@@ -709,12 +761,13 @@ def classify_channel(
     d = 2 and d = 3 use the proven trichotomies.  For d >= 4 the detector
     trio runs without a completeness claim: completely decohering and
     isotropic channels are labeled as such, a found violation labels the
-    channel creator, and anything else is reported unclassified.
+    channel creator, and anything else is reported unclassified.  rng
+    feeds only the isotropic fit's probe, which the qubit path never runs.
     """
     if channel.dim == 2:
         return classify_qubit(
             channel, budget=budget, tol=tol, detector_tol=detector_tol,
-            rng=rng, starts=starts, check_cp=check_cp,
+            starts=starts, check_cp=check_cp,
         )
     if channel.dim == 3:
         return classify_qutrit(
@@ -758,9 +811,7 @@ def _classify_common(
     cp = None
     if label is not None:
         if check_cp:
-            cp = is_commutativity_preserving(
-                channel, budget=budget, tol=tol, rng=rng, starts=starts
-            )
+            cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
         consistent = (cp.preserving if cp is not None else None) if has_theorem else None
         return ClassificationVerdict(
             label=label,
@@ -771,7 +822,7 @@ def _classify_common(
         )
 
     # No structure detector fired: hunt for a witness.
-    cp = is_commutativity_preserving(channel, budget=budget, tol=tol, rng=rng, starts=starts)
+    cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
     if not cp.preserving:
         witness = witness_from_pair(channel, *cp.witness_pair, tol=tol)
         return ClassificationVerdict(
@@ -1003,16 +1054,12 @@ def _scan_one(
     detector_tol: float,
     starts: int,
 ) -> ScanRow:
-    sample_rng = substream(seed, 2 * index)
-    search_rng = substream(seed, 2 * index + 1)
-    channel = _sample_family(family, dim, sample_rng)
+    channel = _sample_family(family, dim, substream(seed, 2 * index))
 
     basis = find_decohering_basis(channel, detector_tol)
-    iso = fit_isotropic(channel, tol=tol, rng=search_rng)
+    iso = fit_isotropic(channel, tol=tol, rng=substream(seed, 2 * index + 1))
     unital = is_unital(channel, detector_tol)
-    cp = is_commutativity_preserving(
-        channel, budget=budget, tol=tol, rng=search_rng, starts=starts
-    )
+    cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
 
     if basis is not None:
         label = LABEL_CD

@@ -13,6 +13,7 @@ anomaly, selftest failure); 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import secrets
@@ -42,7 +43,9 @@ def positive_float(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The qcorr argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description=(
@@ -55,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--seed", type=int, default=None,
-                        help="64-bit master seed; drawn from entropy (and echoed) if omitted")
+                        help=("64-bit master seed for the isotropic fit probe, msf starts and "
+                              "scan sampling (the preservation search uses none); drawn "
+                              "from entropy (and echoed) if omitted"))
         sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
         sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
@@ -159,9 +164,7 @@ def _cmd_classify(args: argparse.Namespace, seed: int) -> tuple[dict, list[str],
 
 def _cmd_witness(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
-    verdict = classify.is_commutativity_preserving(
-        channel, budget=args.budget, tol=args.tol, rng=rng_from_seed(seed)
-    )
+    verdict = classify.is_commutativity_preserving(channel, budget=args.budget, tol=args.tol)
     if verdict.preserving:
         result = {"found": False, "certified": verdict.certified,
                   "upper_bound": verdict.upper_bound,

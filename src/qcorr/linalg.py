@@ -3,9 +3,10 @@
 All functions are pure; matrices are plain complex ndarrays, and a family
 of matrices is one stacked (n, d, d) array.  worst_commutation_defect is
 the single "normal and pairwise commuting" test: the classical-on-B
-detector, the decohering-channel detector and the input check of
-simultaneous_diagonalization all call it.  Default tolerances: Hermiticity
-1e-10, commutator checks 1e-9, both relative to the operand norms.
+detector and the decohering-channel detector call it, and
+simultaneous_diagonalization calls it to name the fault of a family it
+cannot diagonalize.  Default tolerances: Hermiticity 1e-10, commutator
+checks 1e-9, both relative to the operand norms.
 """
 
 from __future__ import annotations
@@ -143,13 +144,15 @@ def simultaneous_diagonalization(
 ) -> np.ndarray:
     """Common eigenbasis of a family of commuting normal matrices.
 
-    The family must be normal and pairwise commuting within tol in the
-    normalized sense of worst_commutation_defect.  Diagonalizes a random
-    real combination of the Hermitian and anti-Hermitian parts (generic
-    coefficients split accidental degeneracies with probability one), then
-    verifies every conjugated matrix is diagonal; retries with fresh
-    coefficients before giving up.  Returns the unitary V with V^dag M_i V
-    diagonal within tol * (1 + ||M_i||_F).
+    Diagonalizes a random real combination of the Hermitian and
+    anti-Hermitian parts (generic coefficients split accidental
+    degeneracies with probability one), then verifies every conjugated
+    matrix is diagonal; retries with fresh coefficients before giving up.
+    Returns the unitary V with V^dag M_i V diagonal within
+    tol * (1 + ||M_i||_F).  The verification is the proof, so the family is
+    scanned with worst_commutation_defect only when every try fails: the
+    error then says whether a member is non-normal, a pair fails to commute
+    within tol in the normalized sense, or the family was degenerate.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
@@ -157,11 +160,6 @@ def simultaneous_diagonalization(
     if any(np.shape(m) != (d, d) for m in mats):
         raise ValueError("all matrices must be square with a common dimension")
     stack = np.asarray(mats, dtype=complex)
-    worst, pair = worst_commutation_defect(stack, stop=tol)
-    if worst > tol:
-        if pair[0] == pair[1]:
-            raise ValueError("family contains a non-normal matrix")
-        raise ValueError("family is not commuting within tolerance")
 
     adj = stack.conj().transpose(0, 2, 1)
     # parts[2i] and parts[2i + 1] are the Hermitian A_i and B_i in M_i = A_i + i B_i
@@ -177,4 +175,9 @@ def simultaneous_diagonalization(
         t = v.conj().T @ stack @ v
         if np.all(np.linalg.norm(t[:, off_diag], axis=1) <= bound):
             return v
+    worst, pair = worst_commutation_defect(stack, stop=tol)
+    if worst > tol:
+        if pair[0] == pair[1]:
+            raise ValueError("family contains a non-normal matrix")
+        raise ValueError("family is not commuting within tolerance")
     raise ValueError("failed to find a common eigenbasis (degenerate family?)")

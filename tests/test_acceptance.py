@@ -50,9 +50,7 @@ def test_criterion_1_creation_soundness():
         for i in range(200):
             idx = d * 1000 + i
             channel = random_cptp(d, substream(seed, 2 * idx))
-            verdict = classify.is_commutativity_preserving(
-                channel, rng=substream(seed, 2 * idx + 1)
-            )
+            verdict = classify.is_commutativity_preserving(channel)
             checked += 1
             if verdict.preserving or verdict.max_violation <= 1e-6:
                 continue
@@ -82,9 +80,7 @@ def test_criterion_2_preserving_families():
                 channel = random_completely_decohering(d, sampler)
             else:
                 channel = random_isotropic(d, sampler)
-            verdict = classify.is_commutativity_preserving(
-                channel, rng=substream(seed, 3 * idx + 1)
-            )
+            verdict = classify.is_commutativity_preserving(channel)
             assert verdict.preserving, (d, i, verdict.max_violation)
             assert verdict.max_violation < 1e-7, (d, i, verdict.max_violation)
             n_channels += 1
@@ -108,7 +104,7 @@ def test_criterion_3_qubit_dichotomy():
     labels = {"creator": 0, "other": 0}
     for i in range(500):
         channel = random_cptp(2, substream(seed, 2 * i))
-        verdict = classify.classify_qubit(channel, rng=substream(seed, 2 * i + 1))
+        verdict = classify.classify_qubit(channel)
         is_creator = verdict.label == "creator"
         cp_fails = not verdict.cp.preserving
         if is_creator != cp_fails:

@@ -270,6 +270,24 @@ class TestDeterminism:
         b.pop("timing_s")
         assert a == b
 
+    def test_rejected_input_does_not_change_later_reports(self, files, capsys):
+        # the parser is built once per process, so a parse error must leave it intact
+        _, write = files
+        path = write("ad.json", jsonio.channel_to_json(amplitude_damping(0.3)))
+        argv = ["classify", "--channel", path, "--seed", "5", "--format", "json"]
+        code1, out1, _ = run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--channel", path, "--seed", "5", "--tol", "-1"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        code2, out2, _ = run(capsys, argv)
+        assert code1 == code2 == 0
+        a, b = json.loads(out1), json.loads(out2)
+        a.pop("timing_s")
+        b.pop("timing_s")
+        assert a == b
+        assert a["result"]["label"] == "creator"
+
     def test_output_file_written(self, files, capsys):
         tmp_path, write = files
         path = write("dep.json", jsonio.channel_to_json(chn.depolarizing(2, 0.4)))

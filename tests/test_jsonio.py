@@ -5,7 +5,7 @@ import pytest
 
 from qcorr import channels as chn
 from qcorr import classify, jsonio
-from qcorr.sampling import random_bipartite, random_cptp, rng_from_seed
+from qcorr.sampling import random_bipartite, random_cptp
 from qcorr.states import is_classical_on_b
 
 
@@ -68,7 +68,7 @@ class TestStateFiles:
 class TestWitnessRoundTrip:
     def test_reloaded_witness_reverifies(self, rng):
         ch = random_cptp(3, rng)
-        verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(1))
+        verdict = classify.is_commutativity_preserving(ch)
         w = classify.witness_from_pair(ch, *verdict.witness_pair)
         obj = json.loads(json.dumps(jsonio.witness_to_json(w)))
         back = jsonio.witness_from_json(obj)
@@ -91,7 +91,7 @@ class TestCPVerdictNotes:
             (block, {"budget": 1}, False, "no violation found within budget (not certified)"),
         ]
         for ch, kwargs, certified, note in cases:
-            verdict = classify.is_commutativity_preserving(ch, rng=rng_from_seed(2), **kwargs)
+            verdict = classify.is_commutativity_preserving(ch, **kwargs)
             obj = json.loads(json.dumps(jsonio.cp_verdict_to_json(verdict)))
             assert obj["certified"] is certified
             assert obj["note"] == note
