@@ -236,22 +236,28 @@ PAIR_BAND_FRAMES = 4
 SCREEN_SEED = 0x5C4EE7
 
 
-@lru_cache(maxsize=None)
+_SCREENS: dict[int, np.ndarray] = {}
+
+
 def screen_frames(d: int, n: int) -> np.ndarray:
     """The first n pair frames of the fixed screen at dimension d, as (n, d, 2).
 
     Frame 0 is (e0, e1) and frame i is the first two columns of the i-th
     haar_unitary draw from the Philox stream of SCREEN_SEED.  The draws come
-    in order, so a shorter screen is a prefix of a longer one.  Cached per
-    (d, n) and read-only.
+    in order, so a shorter screen is a prefix of a longer one: one read-only
+    sequence per d (DEFAULT_STARTS frames, redrawn longer only when a caller
+    asks for more) is kept, and every call returns a view of its first n.
     """
-    rng = rng_from_seed(SCREEN_SEED)
-    frames = np.empty((n, d, 2), dtype=complex)
-    frames[0] = np.eye(d)[:, :2]
-    for i in range(1, n):
-        frames[i] = haar_unitary(d, rng)[:, :2]
-    frames.setflags(write=False)
-    return frames
+    frames = _SCREENS.get(d)
+    if frames is None or len(frames) < n:
+        rng = rng_from_seed(SCREEN_SEED)
+        frames = np.empty((max(n, DEFAULT_STARTS), d, 2), dtype=complex)
+        frames[0] = np.eye(d)[:, :2]
+        for i in range(1, len(frames)):
+            frames[i] = haar_unitary(d, rng)[:, :2]
+        frames.setflags(write=False)
+        _SCREENS[d] = frames
+    return frames[:n]
 
 
 def _search_pairs(

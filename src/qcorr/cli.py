@@ -43,9 +43,8 @@ def positive_float(text: str) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The qcorr argument parser, built once per process (parsing does not change it)."""
+    """A fresh qcorr argument parser."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description=(
@@ -56,11 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", type=int, default=None,
-                        help=("64-bit master seed for the isotropic fit probe, msf starts and "
-                              "scan sampling (the preservation search uses none); drawn "
-                              "from entropy (and echoed) if omitted"))
+    def common(sp: argparse.ArgumentParser, *, seeded: bool = True) -> None:
+        if seeded:
+            sp.add_argument("--seed", type=int, default=None,
+                            help=("64-bit master seed for the isotropic fit probe, msf starts "
+                                  "and scan sampling (the preservation search uses none); "
+                                  "drawn from entropy (and echoed) if omitted"))
         sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
         sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witness", help="search a creation witness for a channel")
     sp.add_argument("--channel", required=True, help="channel JSON file")
-    common(sp)
+    common(sp, seeded=False)  # the preservation search reads no seed
 
     sp = sub.add_parser("msf", help="maximal entangled fraction of a bipartite state")
     sp.add_argument("--in", dest="state_file", required=True, help="state JSON file")
@@ -98,6 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing does not change the parser, so main reuses one per process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def _workers() -> int:
     raw = os.environ.get("QCORR_THREADS", "1")
     try:
@@ -106,13 +110,12 @@ def _workers() -> int:
         return 1
 
 
-def _envelope(args: argparse.Namespace, seed: int, result: dict, t0: float) -> dict:
-    config = {
-        "command": args.command,
-        "seed": seed,
-        "tol": getattr(args, "tol", None),
-        "budget": getattr(args, "budget", None),
-    }
+def _envelope(args: argparse.Namespace, result: dict, t0: float) -> dict:
+    config = {"command": args.command}
+    if hasattr(args, "seed"):
+        config["seed"] = args.seed
+    config["tol"] = getattr(args, "tol", None)
+    config["budget"] = getattr(args, "budget", None)
     for key in ("channel", "state_file", "dim", "samples"):
         if hasattr(args, key):
             config[key] = getattr(args, key)
@@ -144,10 +147,10 @@ def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None
             print(body)
 
 
-def _cmd_classify(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
     verdict = classify.classify_channel(
-        channel, budget=args.budget, tol=args.tol, rng=rng_from_seed(seed)
+        channel, budget=args.budget, tol=args.tol, rng=rng_from_seed(args.seed)
     )
     lines = [f"label: {verdict.label}"]
     if verdict.iso_fit is not None:
@@ -162,7 +165,7 @@ def _cmd_classify(args: argparse.Namespace, seed: int) -> tuple[dict, list[str],
     return jsonio.classification_to_json(verdict), lines, 0
 
 
-def _cmd_witness(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
+def _cmd_witness(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
     verdict = classify.is_commutativity_preserving(channel, budget=args.budget, tol=args.tol)
     if verdict.preserving:
@@ -185,9 +188,9 @@ def _cmd_witness(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], 
     return result, lines, 0
 
 
-def _cmd_msf(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
+def _cmd_msf(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     state = jsonio.state_from_json(jsonio.load(args.state_file))
-    rng = rng_from_seed(seed)
+    rng = rng_from_seed(args.seed)
     if args.channel is None:
         res = classify.msf(state, budget=args.budget, rng=rng)
         result = {"msf": jsonio.msf_to_json(res)}
@@ -219,11 +222,11 @@ def _cmd_msf(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]
     return result, lines, 0
 
 
-def _cmd_scan(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
+def _cmd_scan(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = classify.scan_channels(
         args.dim,
         args.samples,
-        seed=seed,
+        seed=args.seed,
         budget=args.budget,
         tol=args.tol,
         workers=_workers(),
@@ -239,8 +242,8 @@ def _cmd_scan(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int
     return result, lines, 0 if not report.anomalies else 1
 
 
-def _cmd_selftest(args: argparse.Namespace, seed: int) -> tuple[dict, list[str], int]:
-    report = run_selftest(tol=args.tol, seed=seed)
+def _cmd_selftest(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    report = run_selftest(tol=args.tol, seed=args.seed)
     lines = []
     for group, counts in report.group_summary().items():
         lines.append(f"{group}: {counts['passed']} passed, {counts['failed']} failed")
@@ -261,15 +264,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    args = _parser().parse_args(argv)
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = secrets.randbits(63)
     t0 = time.perf_counter()
     try:
-        result, lines, code = _COMMANDS[args.command](args, seed)
+        result, lines, code = _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _envelope(args, seed, result, t0)
+    report = _envelope(args, result, t0)
     _emit(report, args, lines)
     return code
 

@@ -149,10 +149,13 @@ def simultaneous_diagonalization(
     degeneracies with probability one), then verifies every conjugated
     matrix is diagonal; retries with fresh coefficients before giving up.
     Returns the unitary V with V^dag M_i V diagonal within
-    tol * (1 + ||M_i||_F).  The verification is the proof, so the family is
-    scanned with worst_commutation_defect only when every try fails: the
-    error then says whether a member is non-normal, a pair fails to commute
-    within tol in the normalized sense, or the family was degenerate.
+    tol * (1 + ||M_i||_F).  That bound is the whole contract: a family that
+    passes it is accepted even when a member is non-normal, or a pair fails
+    to commute, by less than it (e.g. a nilpotent member of norm below tol).
+    The verification is the proof, so the family is scanned with
+    worst_commutation_defect only when every try fails: the error then says
+    whether a member is non-normal, a pair fails to commute within tol in
+    the normalized sense, or the family was degenerate.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")

@@ -103,37 +103,38 @@ class TestWitnessCommand:
     def test_identity_none_found_exit_1(self, files, capsys):
         _, write = files
         path = write("id.json", jsonio.channel_to_json(chn.identity_channel(2)))
-        code, out, _ = run(capsys, ["witness", "--channel", path, "--seed", "3"])
+        code, out, _ = run(capsys, ["witness", "--channel", path])
         assert code == 1
         assert "no creation witness" in out
 
     def test_certified_pass_reports_no_witness_exists(self, files, capsys):
         _, write = files
         path = write("dep.json", jsonio.channel_to_json(chn.depolarizing(3, 0.3)))
-        code, out, _ = run(
-            capsys, ["witness", "--channel", path, "--seed", "1", "--format", "json"]
-        )
+        code, out, _ = run(capsys, ["witness", "--channel", path, "--format", "json"])
         assert code == 1
         result = json.loads(out)["result"]
         assert result["found"] is False
         assert result["certified"] is True
         assert result["upper_bound"] <= 1e-7
         assert result["note"] == "certified: no orthogonal pair exceeds tol"
-        code, out, _ = run(capsys, ["witness", "--channel", path, "--seed", "1"])
+        code, out, _ = run(capsys, ["witness", "--channel", path])
         assert code == 1
         assert "no creation witness exists" in out
 
     def test_amplitude_damping_witness_round_trip(self, files, capsys):
         _, write = files
         path = write("ad.json", jsonio.channel_to_json(amplitude_damping(0.5)))
-        code, out, _ = run(
-            capsys, ["witness", "--channel", path, "--seed", "4", "--format", "json"]
-        )
+        code, out, _ = run(capsys, ["witness", "--channel", path, "--format", "json"])
         assert code == 0
         report = json.loads(out)
+        # the search is seed-free, so witness neither takes nor echoes a seed
+        assert "seed" not in report["config"]
         assert report["result"]["found"]
         witness = jsonio.witness_from_json(report["result"]["witness"])
         assert witness.output_quantumness > 1e-6
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--channel", path, "--seed", "4"])
+        assert exc.value.code == 2
 
 
 class TestMsfCommand:
@@ -271,7 +272,7 @@ class TestDeterminism:
         assert a == b
 
     def test_rejected_input_does_not_change_later_reports(self, files, capsys):
-        # the parser is built once per process, so a parse error must leave it intact
+        # main reuses one parser per process, so a parse error must leave it intact
         _, write = files
         path = write("ad.json", jsonio.channel_to_json(amplitude_damping(0.3)))
         argv = ["classify", "--channel", path, "--seed", "5", "--format", "json"]

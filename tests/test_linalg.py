@@ -230,6 +230,19 @@ class TestSimultaneousDiagonalization:
         with pytest.raises(ValueError, match="non-normal"):
             linalg.simultaneous_diagonalization([j, np.eye(2)])
 
+    def test_accepts_non_normal_member_within_bound(self):
+        # the contract is the diagonal bound tol * (1 + ||M||_F), not a normality
+        # check: a non-normal member smaller than tol is returned as diagonalized
+        tol = linalg.COMMUTATOR_TOL
+        j = np.array([[0.0, tol / 10], [0.0, 0.0]])
+        v = linalg.simultaneous_diagonalization([j, np.diag([1.0, 2.0])])
+        assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+        for m in (j, np.diag([1.0, 2.0])):
+            t = v.conj().T @ m @ v
+            assert linalg.frobenius(t - np.diag(np.diag(t))) <= tol * (1 + linalg.frobenius(m))
+        with pytest.raises(ValueError, match="non-normal"):
+            linalg.simultaneous_diagonalization([j * 1e3, np.diag([1.0, 2.0])])
+
 
 class TestTensorAndPartialTrace:
     def test_identity_tensor(self):
