@@ -289,29 +289,20 @@ def isotropic_boundary(
     def f(p: float) -> float:
         return min_choi_eigenvalue(isotropic_choi(d, p, gamma, u))
 
-    if side == "lower":
-        lo, hi = -1.5, 0.0
-        if f(lo) >= 0:
-            raise ValueError("no crossing in the bracket")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    if side == "upper":
-        lo, hi = 0.0, 1.5
-        if f(hi) >= 0:
-            raise ValueError("no crossing in the bracket")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if f(mid) >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    raise ValueError("side must be 'lower' or 'upper'")
+    brackets = {"lower": (-1.5, 0.0), "upper": (1.5, 0.0)}
+    if side not in brackets:
+        raise ValueError("side must be 'lower' or 'upper'")
+    # f < 0 at outside and f >= 0 at inside; each step halves the bracket
+    outside, inside = brackets[side]
+    if f(outside) >= 0:
+        raise ValueError("no crossing in the bracket")
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (outside + inside)
+        if f(mid) < 0:
+            outside = mid
+        else:
+            inside = mid
+    return 0.5 * (outside + inside)
 
 
 def depolarizing(d: int, p: float) -> KrausChannel:

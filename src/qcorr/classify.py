@@ -176,20 +176,18 @@ def is_commutativity_preserving(
     *,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    starts: int = DEFAULT_STARTS,
-    early_stop: float | None = None,
 ) -> CPVerdict:
     """Decide whether some orthogonal pure pair has non-commuting channel outputs.
 
     The computational pair (e0, e1) is evaluated first.  If it does not
     violate, preservation_bound decides: a bound at most tol is a certified
     pass and no search runs.  Otherwise _search_pairs screens the first
-    starts of the fixed screen_frames and polishes the best (more of them
-    to a tighter tolerance when the best stays below early_stop, default
-    max(100 tol, 1e-3)).  Nothing is random: the verdict, its witness pair
-    and evals depend only on the channel and the arguments.  A violation
-    is a proof; a search pass whose bound exceeds tol only says none was
-    found within the budget.
+    DEFAULT_STARTS of the fixed screen_frames and polishes the best (more of
+    them to a tighter tolerance when the best stays below max(100 tol,
+    1e-3)).  Nothing is random: the verdict, its witness pair and evals
+    depend only on the channel, budget and tol.  A violation is a proof; a
+    search pass whose bound exceeds tol only says none was found within the
+    budget.
     tol must be finite and positive: a zero, negative or NaN tol would turn
     rounding noise into a "proof" of creation, and an infinite one would
     certify every channel.
@@ -199,8 +197,6 @@ def is_commutativity_preserving(
     d = channel.dim
     if d < 2:
         return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True)
-    if early_stop is None:
-        early_stop = max(100 * tol, 1e-3)
 
     eye = np.eye(d)
     upper = None
@@ -210,9 +206,7 @@ def is_commutativity_preserving(
         if upper <= tol:
             return CPVerdict(True, probe, None, tol, 0, budget, upper, True)
 
-    frame, evals = _search_pairs(
-        channel.ops, budget=budget, starts=starts, early_stop=early_stop
-    )
+    frame, evals = _search_pairs(channel.ops, budget=budget, tol=tol)
     phi, psi = frame[:, 0].copy(), frame[:, 1].copy()
     violation = pair_violation_direct(channel, phi, psi)
     preserving = violation <= tol
@@ -260,21 +254,19 @@ def screen_frames(d: int, n: int) -> np.ndarray:
     return frames[:n]
 
 
-def _search_pairs(
-    kraus: np.ndarray, *, budget: int, starts: int, early_stop: float
-) -> tuple[np.ndarray, int]:
+def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.ndarray, int]:
     """Best orthonormal pair frame (d, 2) found, and the pair evaluations used.
 
-    Screen: the first min(starts, budget) screen_frames in one batched call.
-    The screened winner is polished to PAIR_POLISH_RTOL.  Only if it is
-    still below early_stop do the best PAIR_BAND_FRAMES screened frames (the
-    polished winner among them) ascend together to PAIR_BAND_RTOL.  budget
-    caps the evaluations: one per screened frame plus one per polished
-    frame per step.  Nothing is random, so the result depends on the
-    channel alone.
+    Screen: the first min(DEFAULT_STARTS, budget) screen_frames in one
+    batched call.  The screened winner is polished to PAIR_POLISH_RTOL.
+    Only if it is still below max(100 tol, 1e-3) do the best
+    PAIR_BAND_FRAMES screened frames (the polished winner among them)
+    ascend together to PAIR_BAND_RTOL.  budget caps the evaluations: one
+    per screened frame plus one per polished frame per step.  Nothing is
+    random, so the result depends on the channel, budget and tol alone.
     """
     d = kraus.shape[1]
-    n = max(1, min(starts, budget))
+    n = max(1, min(DEFAULT_STARTS, budget))
     frames = screen_frames(d, n).copy()
     f, grad = kernels.pair_violation_grad(frames, kraus)
     evals = n
@@ -282,7 +274,7 @@ def _search_pairs(
     evals += _ascend_pairs(
         frames, f, grad, kraus, order[:1], budget=budget - evals, rtol=PAIR_POLISH_RTOL
     )
-    if f.max() < early_stop:
+    if f.max() < max(100 * tol, 1e-3):
         evals += _ascend_pairs(
             frames, f, grad, kraus, order[:PAIR_BAND_FRAMES], budget=budget - evals,
             rtol=PAIR_BAND_RTOL,
@@ -544,22 +536,23 @@ def is_mixing_sampled(
     return True
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """d^2 Hermitian matrices spanning the operator space."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
+@lru_cache(maxsize=None)
+def hermitian_basis(d: int) -> np.ndarray:
+    """d^2 Hermitian matrices spanning the operator space, as (d^2, d, d).
+
+    The d diagonal units come first, then for each i < j the symmetric and
+    the antisymmetric off-diagonal unit.  Cached per d and read-only.
+    """
+    out = np.zeros((d * d, d, d), dtype=complex)
+    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    k = d
     for i in range(d):
         for j in range(i + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[i, j] = s[j, i] = 1 / np.sqrt(2)
-            out.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = -1j / np.sqrt(2)
-            a[j, i] = 1j / np.sqrt(2)
-            out.append(a)
+            out[k, i, j] = out[k, j, i] = 1 / np.sqrt(2)
+            out[k + 1, i, j] = -1j / np.sqrt(2)
+            out[k + 1, j, i] = 1j / np.sqrt(2)
+            k += 2
+    out.setflags(write=False)
     return out
 
 
@@ -573,7 +566,7 @@ def find_decohering_basis(
     diagonalizes L(rho) for every rho by linearity.  Returns None otherwise.
     """
     skip = 1e-12
-    outs = kernels.apply_kraus(channel.ops, np.array(hermitian_basis(channel.dim)))
+    outs = kernels.apply_kraus(channel.ops, hermitian_basis(channel.dim))
     worst, _ = linalg.worst_commutation_defect(outs, skip=skip, stop=tol)
     if worst > tol:
         return None
@@ -676,49 +669,95 @@ class ClassificationVerdict:
     """Channel class label plus the evidence that justifies it.
 
     evidence: decohering basis for completely_decohering, IsotropicFit for
-    isotropic, CreationWitness for creator.  cp carries the (optional)
-    commutativity-preservation cross-check; consistent records whether the
-    label and the CP verdict agree with the dimension's theorem (None when
-    no completeness claim applies).
+    isotropic, CreationWitness for creator.  cp is the
+    commutativity-preservation verdict every label is checked against;
+    consistent records whether the label and cp agree with the dimension's
+    theorem (None at d >= 4, where no completeness claim applies).
     """
 
     label: str
+    cp: CPVerdict
     basis: np.ndarray | None = None
     iso_fit: IsotropicFit | None = None
     witness: CreationWitness | None = None
-    cp: CPVerdict | None = None
     consistent: bool | None = None
 
 
-def classify_qubit(
+def _agrees(d: int, label: str, cp: CPVerdict) -> bool:
+    """Whether the label names a preserving family exactly when cp preserves.
+
+    The preserving families are mixing (unital) or completely decohering at
+    d = 2 and completely decohering or isotropic at d = 3 (both theorems);
+    d >= 4 takes the conjectured extension of the qutrit statement.
+    """
+    families = (LABEL_UNITAL, LABEL_CD) if d == 2 else (LABEL_CD, LABEL_ISOTROPIC)
+    return (label in families) == cp.preserving
+
+
+def _label(
+    channel: chn.KrausChannel, *, budget: int, tol: float, rng: np.random.Generator | None
+) -> tuple[str, np.ndarray | None, IsotropicFit | None, CPVerdict]:
+    """(label, decohering basis, isotropic fit, preservation verdict) of a channel.
+
+    The family label comes from the detectors of the dimension's theorem:
+    unital, then completely decohering at d = 2; completely decohering, then
+    isotropic at d >= 3.  The preservation decision always runs; a channel
+    with no family label is a creator when it violates and unclassified
+    otherwise.  rng feeds only the isotropic fit's probe.
+    """
+    basis = iso = label = None
+    if channel.dim == 2 and is_unital(channel):
+        label = LABEL_UNITAL
+    elif (basis := find_decohering_basis(channel)) is not None:
+        label = LABEL_CD
+    elif channel.dim >= 3 and (iso := fit_isotropic(channel, tol=tol, rng=rng)) is not None:
+        label = LABEL_ISOTROPIC
+    cp = is_commutativity_preserving(channel, budget=budget, tol=tol)
+    if label is None:
+        label = LABEL_UNKNOWN if cp.preserving else LABEL_CREATOR
+    return label, basis, iso, cp
+
+
+def classify_channel(
     channel: chn.KrausChannel,
     *,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    detector_tol: float = DETECTOR_TOL,
-    starts: int = DEFAULT_STARTS,
-    check_cp: bool = True,
+    rng: np.random.Generator | None,
+) -> ClassificationVerdict:
+    """Label a channel by the families of its dimension and check the label.
+
+    d = 2: unital_mixing or completely_decohering; d >= 3:
+    completely_decohering or isotropic.  A channel in none of them is a
+    creator, with a witness built from the violating pair, when the
+    preservation decision finds a violation, and unclassified otherwise.
+    consistent says whether the label and the decision agree with the
+    theorem at d = 2 and 3; at d >= 4 no completeness claim applies and it
+    is None.  rng feeds only the isotropic fit's probe, which d = 2 never
+    runs.
+    """
+    label, basis, iso, cp = _label(channel, budget=budget, tol=tol, rng=rng)
+    witness = None
+    if label == LABEL_CREATOR:
+        witness = witness_from_pair(channel, *cp.witness_pair, tol=tol)
+    consistent = _agrees(channel.dim, label, cp) if channel.dim in (2, 3) else None
+    return ClassificationVerdict(
+        label=label, cp=cp, basis=basis, iso_fit=iso, witness=witness, consistent=consistent
+    )
+
+
+def classify_qubit(
+    channel: chn.KrausChannel, *, budget: int = DEFAULT_BUDGET, tol: float = CP_TOL
 ) -> ClassificationVerdict:
     """Qubit trichotomy: unital (mixing), completely decohering, or creator.
 
     For qubits, commutativity preservation is equivalent to being unital or
-    completely decohering, so any other channel should yield a witness; the
-    CP cross-check records whether the search agreed.  Nothing here is
-    random, so unlike the qutrit classifier it takes no rng.
+    completely decohering, so any other channel should yield a witness.
+    Nothing here is random, so unlike the qutrit classifier it takes no rng.
     """
     if channel.dim != 2:
         raise ValueError("classify_qubit expects a qubit channel")
-    return _classify_common(
-        channel,
-        detectors=("unital", "cd"),
-        budget=budget,
-        tol=tol,
-        detector_tol=detector_tol,
-        rng=None,
-        starts=starts,
-        check_cp=check_cp,
-        has_theorem=True,
-    )
+    return classify_channel(channel, budget=budget, tol=tol, rng=None)
 
 
 def classify_qutrit(
@@ -726,10 +765,7 @@ def classify_qutrit(
     *,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    detector_tol: float = DETECTOR_TOL,
     rng: np.random.Generator,
-    starts: int = DEFAULT_STARTS,
-    check_cp: bool = True,
 ) -> ClassificationVerdict:
     """Qutrit trichotomy: completely decohering, isotropic, or creator.
 
@@ -739,110 +775,7 @@ def classify_qutrit(
     """
     if channel.dim != 3:
         raise ValueError("classify_qutrit expects a qutrit channel")
-    return _classify_common(
-        channel,
-        detectors=("cd", "iso"),
-        budget=budget,
-        tol=tol,
-        detector_tol=detector_tol,
-        rng=rng,
-        starts=starts,
-        check_cp=check_cp,
-        has_theorem=True,
-    )
-
-
-def classify_channel(
-    channel: chn.KrausChannel,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = CP_TOL,
-    detector_tol: float = DETECTOR_TOL,
-    rng: np.random.Generator,
-    starts: int = DEFAULT_STARTS,
-    check_cp: bool = True,
-) -> ClassificationVerdict:
-    """Dimension-dispatching classifier.
-
-    d = 2 and d = 3 use the proven trichotomies.  For d >= 4 the detector
-    trio runs without a completeness claim: completely decohering and
-    isotropic channels are labeled as such, a found violation labels the
-    channel creator, and anything else is reported unclassified.  rng
-    feeds only the isotropic fit's probe, which the qubit path never runs.
-    """
-    if channel.dim == 2:
-        return classify_qubit(
-            channel, budget=budget, tol=tol, detector_tol=detector_tol,
-            starts=starts, check_cp=check_cp,
-        )
-    if channel.dim == 3:
-        return classify_qutrit(
-            channel, budget=budget, tol=tol, detector_tol=detector_tol,
-            rng=rng, starts=starts, check_cp=check_cp,
-        )
-    return _classify_common(
-        channel,
-        detectors=("cd", "iso", "unital"),
-        budget=budget,
-        tol=tol,
-        detector_tol=detector_tol,
-        rng=rng,
-        starts=starts,
-        check_cp=check_cp,
-        has_theorem=False,
-    )
-
-
-def _classify_common(
-    channel, *, detectors, budget, tol, detector_tol, rng, starts, check_cp, has_theorem
-) -> ClassificationVerdict:
-    label = None
-    basis = None
-    iso = None
-    for kind in detectors:
-        if kind == "unital" and is_unital(channel, detector_tol):
-            label = LABEL_UNITAL
-            break
-        if kind == "cd":
-            basis = find_decohering_basis(channel, detector_tol)
-            if basis is not None:
-                label = LABEL_CD
-                break
-        if kind == "iso":
-            iso = fit_isotropic(channel, tol=tol, rng=rng)
-            if iso is not None:
-                label = LABEL_ISOTROPIC
-                break
-
-    cp = None
-    if label is not None:
-        if check_cp:
-            cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
-        consistent = (cp.preserving if cp is not None else None) if has_theorem else None
-        return ClassificationVerdict(
-            label=label,
-            basis=basis if label == LABEL_CD else None,
-            iso_fit=iso if label == LABEL_ISOTROPIC else None,
-            cp=cp,
-            consistent=consistent,
-        )
-
-    # No structure detector fired: hunt for a witness.
-    cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
-    if not cp.preserving:
-        witness = witness_from_pair(channel, *cp.witness_pair, tol=tol)
-        return ClassificationVerdict(
-            label=LABEL_CREATOR,
-            witness=witness,
-            cp=cp,
-            consistent=True if has_theorem else None,
-        )
-    # Theorems say this cannot happen at d = 2, 3; report it rather than guess.
-    return ClassificationVerdict(
-        label=LABEL_UNKNOWN,
-        cp=cp,
-        consistent=False if has_theorem else None,
-    )
+    return classify_channel(channel, budget=budget, tol=tol, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +957,6 @@ class ScanRow:
     cp_preserving: bool
     cp_certified: bool
     max_violation: float
-    is_cd: bool
-    is_iso: bool
-    is_unital: bool
     anomaly: str | None
 
 
@@ -1034,13 +964,16 @@ class ScanRow:
 class ScanReport:
     """Census of sampled channels against the expected family structure.
 
-    At d = 2 a channel should preserve commutativity iff it is unital or
-    completely decohering; at d >= 3 iff it is completely decohering or
-    isotropic (a theorem at d = 3, the conjectured extension at d >= 4).
-    Any channel breaking the equivalence is listed in anomalies.
-    family_counts holds the label counts and cp_pass per family; each row
-    says whether its verdict is certified (the JSON report also counts
-    cp_certified per family).
+    Each row is labelled by the same rule as classify_channel: unital_mixing
+    or completely_decohering at d = 2, completely_decohering or isotropic at
+    d >= 3, otherwise creator when the preservation decision finds a
+    violation and unclassified when it does not.  A channel should preserve
+    commutativity iff it carries a family label (a theorem at d = 2 and 3,
+    the conjectured extension at d >= 4); any row breaking that equivalence
+    is listed in anomalies.  family_counts holds the label counts and
+    cp_pass per family; each row says whether its verdict is certified (the
+    JSON report also counts cp_certified per family).  The scan builds no
+    witnesses.
     """
 
     dim: int
@@ -1050,41 +983,15 @@ class ScanReport:
     anomalies: tuple[ScanRow, ...]
 
 
-def _scan_one(
-    dim: int,
-    seed: int,
-    index: int,
-    family: str,
-    budget: int,
-    tol: float,
-    detector_tol: float,
-    starts: int,
-) -> ScanRow:
+def _scan_one(dim: int, seed: int, index: int, family: str, budget: int, tol: float) -> ScanRow:
     channel = _sample_family(family, dim, substream(seed, 2 * index))
-
-    basis = find_decohering_basis(channel, detector_tol)
-    iso = fit_isotropic(channel, tol=tol, rng=substream(seed, 2 * index + 1))
-    unital = is_unital(channel, detector_tol)
-    cp = is_commutativity_preserving(channel, budget=budget, tol=tol, starts=starts)
-
-    if basis is not None:
-        label = LABEL_CD
-    elif iso is not None:
-        label = LABEL_ISOTROPIC
-    elif not cp.preserving:
-        label = LABEL_CREATOR
-    elif unital:
-        label = LABEL_UNITAL
-    else:
-        label = LABEL_UNKNOWN
-
-    in_families = (basis is not None) or (iso is not None) or (dim == 2 and unital)
+    label, _, _, cp = _label(channel, budget=budget, tol=tol, rng=substream(seed, 2 * index + 1))
     anomaly = None
-    if cp.preserving and not in_families:
-        anomaly = "preserving_outside_known_families"
-    elif in_families and not cp.preserving:
-        anomaly = "violation_inside_known_families"
-
+    if not _agrees(dim, label, cp):
+        anomaly = (
+            "preserving_outside_known_families" if cp.preserving
+            else "violation_inside_known_families"
+        )
     return ScanRow(
         index=index,
         family=family,
@@ -1092,9 +999,6 @@ def _scan_one(
         cp_preserving=cp.preserving,
         cp_certified=cp.certified,
         max_violation=cp.max_violation,
-        is_cd=basis is not None,
-        is_iso=iso is not None,
-        is_unital=unital,
         anomaly=anomaly,
     )
 
@@ -1106,8 +1010,6 @@ def scan_channels(
     seed: int,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    detector_tol: float = DETECTOR_TOL,
-    starts: int = DEFAULT_STARTS,
     families: tuple[str, ...] | None = None,
     workers: int = 1,
 ) -> ScanReport:
@@ -1121,7 +1023,7 @@ def scan_channels(
     if families is None:
         families = tuple(f for f in SCAN_FAMILIES if f != "block_unitary_mixture" or dim >= 3)
     tasks = [
-        (dim, seed, i, families[i % len(families)], budget, tol, detector_tol, starts)
+        (dim, seed, i, families[i % len(families)], budget, tol)
         for i in range(n_channels)
     ]
     if workers > 1:

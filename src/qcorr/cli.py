@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__, classify, jsonio, kernels
-from .optimize import DEFAULT_BUDGET
+from .classify import DEFAULT_BUDGET
 from .sampling import rng_from_seed
 from .selftest import run_selftest
 
@@ -157,11 +157,10 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         lines.append(f"isotropic fit: p={verdict.iso_fit.p:.9g} gamma={verdict.iso_fit.gamma}")
     if verdict.witness is not None:
         lines.append(f"witness output quantumness: {verdict.witness.output_quantumness:.3e}")
-    if verdict.cp is not None:
-        lines.append(
-            f"commutativity preserving: {verdict.cp.preserving} "
-            f"(max violation {verdict.cp.max_violation:.3e}, certified: {verdict.cp.certified})"
-        )
+    lines.append(
+        f"commutativity preserving: {verdict.cp.preserving} "
+        f"(max violation {verdict.cp.max_violation:.3e}, certified: {verdict.cp.certified})"
+    )
     return jsonio.classification_to_json(verdict), lines, 0
 
 

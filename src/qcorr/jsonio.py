@@ -173,8 +173,7 @@ def classification_to_json(v: ClassificationVerdict) -> dict:
         }
     if v.witness is not None:
         out["witness"] = witness_to_json(v.witness)
-    if v.cp is not None:
-        out["cp"] = cp_verdict_to_json(v.cp)
+    out["cp"] = cp_verdict_to_json(v.cp)
     if v.consistent is not None:
         out["consistent"] = v.consistent
     return out

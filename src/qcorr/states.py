@@ -228,12 +228,8 @@ def measure_and_dephase(state: BipartiteState, basis_b: np.ndarray) -> Bipartite
     basis = check_orthonormal(basis_b)
     if basis.shape != (state.dim_b, state.dim_b):
         raise ValueError("basis must be a full orthonormal basis of B")
-    blocks = block_decompose(state)
     bt = basis.conj().T
-    out = np.empty_like(blocks)
-    da = state.dim_a
-    for k in range(da):
-        for l in range(da):
-            c = bt @ blocks[k, l] @ basis
-            out[k, l] = basis @ np.diag(np.diag(c)) @ bt
+    # every block B_kl goes to basis diag(bt B_kl basis) bt
+    diag = np.diagonal(bt @ block_decompose(state) @ basis, axis1=-2, axis2=-1)
+    out = (basis * diag[..., None, :]) @ bt
     return BipartiteState(state.dim_a, state.dim_b, DensityMatrix(reassemble_blocks(out)))

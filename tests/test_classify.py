@@ -25,6 +25,7 @@ from qcorr.sampling import (
     random_povm,
     random_unital_mixture,
     rng_from_seed,
+    substream,
 )
 from qcorr.states import BipartiteState, DensityMatrix, is_classical_on_b
 
@@ -298,7 +299,7 @@ class TestCreatorSearchRobustness:
     def test_near_boundary_mixtures_confirm(self, d, eps):
         # (1 - eps) P + eps R with P decohering or isotropic: wherever 256
         # independent random pairs already exceed 10 tol, the witness must too.
-        # These violations sit below early_stop, so the band polish runs; with
+        # These violations sit below max(100 tol, 1e-3), so the band polish runs; with
         # the winner's basin alone, some seeds here end 11% below the sample.
         confirmed = 0
         for seed in range(16):
@@ -593,6 +594,28 @@ class TestClassifiers:
     def test_wrong_dimension_rejected(self, rng):
         with pytest.raises(ValueError):
             classify.classify_qubit(random_cptp(3, rng))
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("make", [random_unital_mixture, random_block_unitary_mixture])
+    def test_unital_creators_beyond_qutrits(self, make, d):
+        # unitality protects only qubits: at d >= 4 these are creators with a witness
+        verdict = classify.classify_channel(make(d, rng_from_seed(27 + d)), rng=rng_from_seed(d))
+        assert verdict.label == "creator"
+        assert not verdict.cp.preserving
+        assert verdict.witness is not None and verdict.witness.confirmed
+        assert verdict.consistent is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scan_rows_match_classify_channel(self, d):
+        seed = 50 + d
+        report = classify.scan_channels(d, 12, seed=seed)
+        for i, row in enumerate(report.rows):
+            ch = classify._sample_family(row.family, d, substream(seed, 2 * i))
+            verdict = classify.classify_channel(ch, rng=substream(seed, 2 * i + 1))
+            assert row.label == verdict.label, (i, row.family)
+            assert row.max_violation == verdict.cp.max_violation
+            if d <= 3:
+                assert (row.anomaly is None) == verdict.consistent, (i, row.family)
 
 
 class TestMsf:
