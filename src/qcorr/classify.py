@@ -41,7 +41,7 @@ from .sampling import (
     random_completely_decohering,
     random_cptp,
     random_isotropic,
-    random_ket,
+    random_ket,  # noqa: F401  unused; perfbench's tracer resolves qcorr.classify.random_ket
     random_unital_mixture,
     rng_from_seed,
     substream,
@@ -598,17 +598,13 @@ def _polar_unitary(k: np.ndarray) -> np.ndarray:
     return w / ph
 
 
-def fit_isotropic(
-    channel: chn.KrausChannel,
-    *,
-    tol: float = CP_TOL,
-    rng: np.random.Generator | None = None,
-) -> IsotropicFit | None:
+def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> IsotropicFit | None:
     """Detect L = p Gamma + (1-p) I/d with spectrum-preserving Gamma.
 
-    Requires unitality; fits p from the output spectrum of one random pure
-    state (which must look like {p + (1-p)/d} + {(1-p)/d  x (d-1)}),
-    reconstructs Gamma on the matrix units, demands a rank-one Choi for
+    Requires unitality.  The unit images obey S - D = p (Gamma - D), D those
+    of the completely depolarizing channel, and ||Gamma - D||_F^2 = d^2 - 1
+    for both kinds of Gamma, so |p| = ||S - D||_F / sqrt(d^2 - 1).  For
+    p = +|p|, then -|p|, it reconstructs Gamma, demands a rank-one Choi for
     Gamma (unitary case) or for Gamma composed with transpose, and accepts
     only if the refitted channel reproduces the action on all matrix units
     within tol.
@@ -616,27 +612,19 @@ def fit_isotropic(
     if not is_unital(channel, max(tol, DETECTOR_TOL)):
         return None
     d = channel.dim
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0xF17)))
-
-    outs = channel.unit_images()
     # [i, j] = delta_ij I/d: the unit images of the completely depolarizing channel
     depol = np.einsum("ij,ab->ijab", np.eye(d), np.eye(d)) / d
-    if np.linalg.norm(outs - depol, axis=(2, 3)).max() <= tol:
+    diff = channel.unit_images() - depol
+    if np.linalg.norm(diff, axis=(2, 3)).max() <= tol:
         return IsotropicFit(p=0.0, gamma=None, u=None)
 
-    probe = random_ket(d, rng)
-    w = linalg.hermitian_eig(channel.apply_matrix(np.outer(probe, probe.conj()))).eigenvalues
-    candidates = (
-        1.0 - d * float(np.mean(w[:-1])),  # odd eigenvalue on top
-        1.0 - d * float(np.mean(w[1:])),  # odd eigenvalue at bottom
-    )
+    p_abs = linalg.frobenius(diff) / np.sqrt(d * d - 1)
+    if p_abs <= max(10 * tol, 1e-6):
+        return None
     gate = max(1e-4, 100 * tol)
 
-    for p in candidates:
-        if abs(p) <= max(10 * tol, 1e-6):
-            continue
-        gamma_out = (outs - (1 - p) * depol) / p
+    for p in (p_abs, -p_abs):
+        gamma_out = depol + diff / p
         for gamma in ("unitary", "transpose"):
             if gamma == "unitary":
                 j_mat = gamma_out.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
@@ -672,7 +660,8 @@ class ClassificationVerdict:
     isotropic, CreationWitness for creator.  cp is the
     commutativity-preservation verdict every label is checked against;
     consistent records whether the label and cp agree with the dimension's
-    theorem (None at d >= 4, where no completeness claim applies).
+    theorem (None at d >= 4, where no completeness claim applies).  Nothing
+    in it depends on a seed, only on the channel, budget and tol.
     """
 
     label: str
@@ -695,7 +684,7 @@ def _agrees(d: int, label: str, cp: CPVerdict) -> bool:
 
 
 def _label(
-    channel: chn.KrausChannel, *, budget: int, tol: float, rng: np.random.Generator | None
+    channel: chn.KrausChannel, *, budget: int, tol: float
 ) -> tuple[str, np.ndarray | None, IsotropicFit | None, CPVerdict]:
     """(label, decohering basis, isotropic fit, preservation verdict) of a channel.
 
@@ -703,14 +692,14 @@ def _label(
     unital, then completely decohering at d = 2; completely decohering, then
     isotropic at d >= 3.  The preservation decision always runs; a channel
     with no family label is a creator when it violates and unclassified
-    otherwise.  rng feeds only the isotropic fit's probe.
+    otherwise.
     """
     basis = iso = label = None
     if channel.dim == 2 and is_unital(channel):
         label = LABEL_UNITAL
     elif (basis := find_decohering_basis(channel)) is not None:
         label = LABEL_CD
-    elif channel.dim >= 3 and (iso := fit_isotropic(channel, tol=tol, rng=rng)) is not None:
+    elif channel.dim >= 3 and (iso := fit_isotropic(channel, tol=tol)) is not None:
         label = LABEL_ISOTROPIC
     cp = is_commutativity_preserving(channel, budget=budget, tol=tol)
     if label is None:
@@ -723,7 +712,6 @@ def classify_channel(
     *,
     budget: int = DEFAULT_BUDGET,
     tol: float = CP_TOL,
-    rng: np.random.Generator | None,
 ) -> ClassificationVerdict:
     """Label a channel by the families of its dimension and check the label.
 
@@ -733,10 +721,10 @@ def classify_channel(
     preservation decision finds a violation, and unclassified otherwise.
     consistent says whether the label and the decision agree with the
     theorem at d = 2 and 3; at d >= 4 no completeness claim applies and it
-    is None.  rng feeds only the isotropic fit's probe, which d = 2 never
-    runs.
+    is None.  Nothing is random: the verdict depends on the channel, budget
+    and tol alone.
     """
-    label, basis, iso, cp = _label(channel, budget=budget, tol=tol, rng=rng)
+    label, basis, iso, cp = _label(channel, budget=budget, tol=tol)
     witness = None
     if label == LABEL_CREATOR:
         witness = witness_from_pair(channel, *cp.witness_pair, tol=tol)
@@ -753,19 +741,14 @@ def classify_qubit(
 
     For qubits, commutativity preservation is equivalent to being unital or
     completely decohering, so any other channel should yield a witness.
-    Nothing here is random, so unlike the qutrit classifier it takes no rng.
     """
     if channel.dim != 2:
         raise ValueError("classify_qubit expects a qubit channel")
-    return classify_channel(channel, budget=budget, tol=tol, rng=None)
+    return classify_channel(channel, budget=budget, tol=tol)
 
 
 def classify_qutrit(
-    channel: chn.KrausChannel,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = CP_TOL,
-    rng: np.random.Generator,
+    channel: chn.KrausChannel, *, budget: int = DEFAULT_BUDGET, tol: float = CP_TOL
 ) -> ClassificationVerdict:
     """Qutrit trichotomy: completely decohering, isotropic, or creator.
 
@@ -775,7 +758,7 @@ def classify_qutrit(
     """
     if channel.dim != 3:
         raise ValueError("classify_qutrit expects a qutrit channel")
-    return classify_channel(channel, budget=budget, tol=tol, rng=rng)
+    return classify_channel(channel, budget=budget, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +767,7 @@ def classify_qutrit(
 
 
 MSF_STEP_TOL = 1e-15
+MSF_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -896,26 +880,24 @@ def verify_msf_bound(
     budget: int = DEFAULT_BUDGET,
     starts: int = DEFAULT_STARTS,
     rng: np.random.Generator,
-    slack: float = 1e-6,
-    unital_tol: float = DETECTOR_TOL,
 ) -> MsfBoundCheck:
     """Check that a unital channel on B does not raise the entangled fraction.
 
     Rejects non-unital channels outright: the non-improvement claim is made
-    only for entropy-non-decreasing (equivalently unital) channels.  slack
-    absorbs the optimizer gap between the two searches.
+    only for entropy-non-decreasing (equivalently unital) channels.
+    MSF_SLACK absorbs the optimizer gap between the two searches.
     """
     if channel.dim != state.dim_b:
         raise ValueError("channel dimension must match dim_b")
-    if not is_unital(channel, unital_tol):
+    if not is_unital(channel):
         raise ValueError("bound check requires a unital channel")
     before = msf(state, budget=budget, starts=starts, rng=rng)
     after = msf(channel.apply_local_b(state), budget=budget, starts=starts, rng=rng)
     return MsfBoundCheck(
         before=before,
         after=after,
-        slack=slack,
-        holds=after.f_value <= before.f_value + slack,
+        slack=MSF_SLACK,
+        holds=after.f_value <= before.f_value + MSF_SLACK,
     )
 
 
@@ -985,7 +967,7 @@ class ScanReport:
 
 def _scan_one(dim: int, seed: int, index: int, family: str, budget: int, tol: float) -> ScanRow:
     channel = _sample_family(family, dim, substream(seed, 2 * index))
-    label, _, _, cp = _label(channel, budget=budget, tol=tol, rng=substream(seed, 2 * index + 1))
+    label, _, _, cp = _label(channel, budget=budget, tol=tol)
     anomaly = None
     if not _agrees(dim, label, cp):
         anomaly = (
@@ -1015,8 +997,9 @@ def scan_channels(
 ) -> ScanReport:
     """Sample channels from every constructor family and flag anomalies.
 
-    Channel i draws from substreams (2i, 2i+1) of the master seed, so the
-    report is reproducible and independent of the worker count.
+    Channel i is sampled from substream 2i of the master seed and labelled
+    without randomness, so the report is reproducible and independent of
+    the worker count.
     """
     if dim < 2:
         raise ValueError("scan needs dimension >= 2")

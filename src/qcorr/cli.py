@@ -55,28 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, *, seeded: bool = True) -> None:
-        if seeded:
+    def common(sp: argparse.ArgumentParser, *, seed: str | None, budget: bool = True) -> None:
+        if seed is not None:
             sp.add_argument("--seed", type=int, default=None,
-                            help=("64-bit master seed for the isotropic fit probe, msf starts "
-                                  "and scan sampling (the preservation search uses none); "
-                                  "drawn from entropy (and echoed) if omitted"))
+                            help=f"64-bit {seed}; drawn from entropy (and echoed) if omitted")
         sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
                         help="decision tolerance on normalized violations (default 1e-7)")
-        sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
-                        help=("pair evaluations per preservation search (msf: ascent "
-                              f"evaluations summed over starts; default {DEFAULT_BUDGET})"))
+        if budget:
+            sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
+                            help=("pair evaluations per preservation search (msf: ascent "
+                                  f"evaluations summed over starts; default {DEFAULT_BUDGET})"))
         sp.add_argument("--out", default=None, help="write the report to this path")
         sp.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (text summary or full JSON)")
 
     sp = sub.add_parser("classify", help="classify a channel from a JSON file")
     sp.add_argument("--channel", required=True, help="channel JSON file")
-    common(sp)
+    common(sp, seed="seed, only echoed in the report (classify reads no randomness)")
 
     sp = sub.add_parser("witness", help="search a creation witness for a channel")
     sp.add_argument("--channel", required=True, help="channel JSON file")
-    common(sp, seeded=False)  # the preservation search reads no seed
+    common(sp, seed=None)  # the preservation search reads no seed
 
     sp = sub.add_parser("msf", help="maximal entangled fraction of a bipartite state")
     sp.add_argument("--in", dest="state_file", required=True, help="state JSON file")
@@ -84,16 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="optional channel JSON; also reports the fraction after I(x)L")
     sp.add_argument("--require-mixing", action="store_true",
                     help="reject non-unital channels (the bound is only claimed for them)")
-    common(sp)
+    common(sp, seed="master seed for the msf starts")
 
     sp = sub.add_parser("scan", help="census scan over sampled channel families")
     sp.add_argument("--dim", type=int, required=True, help="channel dimension (>= 2)")
     sp.add_argument("--samples", type=positive_int, default=DEFAULT_SAMPLES,
                     help=f"number of channels to sample (default {DEFAULT_SAMPLES})")
-    common(sp)
+    common(sp, seed="master seed for channel sampling")
 
     sp = sub.add_parser("selftest", help="run the embedded invariant suite")
-    common(sp)
+    common(sp, seed="seed for the suite's random inputs", budget=False)
 
     return parser
 
@@ -149,9 +148,7 @@ def _emit(report: dict, args: argparse.Namespace, text_lines: list[str]) -> None
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
-    verdict = classify.classify_channel(
-        channel, budget=args.budget, tol=args.tol, rng=rng_from_seed(args.seed)
-    )
+    verdict = classify.classify_channel(channel, budget=args.budget, tol=args.tol)
     lines = [f"label: {verdict.label}"]
     if verdict.iso_fit is not None:
         lines.append(f"isotropic fit: p={verdict.iso_fit.p:.9g} gamma={verdict.iso_fit.gamma}")
@@ -196,9 +193,10 @@ def _cmd_msf(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         lines = [f"F = {res.f_value:.9f}", f"fidelity = {res.fidelity:.9f}"]
         return result, lines, 0
     channel = jsonio.channel_from_json(jsonio.load(args.channel))
-    if args.require_mixing and not classify.is_unital(channel):
+    unital = classify.is_unital(channel)
+    if args.require_mixing and not unital:
         raise ValueError("--require-mixing: channel is not unital")
-    if classify.is_unital(channel):
+    if unital:
         bound = classify.verify_msf_bound(state, channel, budget=args.budget, rng=rng)
         result = {"bound": jsonio.msf_bound_to_json(bound)}
         lines = [

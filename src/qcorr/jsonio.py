@@ -85,18 +85,36 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _object_field(obj: dict, key: str) -> dict:
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def channel_from_json(obj: Any, validate: bool = True) -> KrausChannel:
     if not isinstance(obj, dict) or "dim" not in obj or "kraus" not in obj:
         raise ValueError("channel JSON must have 'dim' and 'kraus' fields")
-    dim = int(obj["dim"])
+    dim = _int_field(obj, "dim")
+    if not isinstance(obj["kraus"], list):
+        raise ValueError("'kraus' must be a list of matrices")
     ops = [matrix_from_json(k) for k in obj["kraus"]]
     if any(e.shape != (dim, dim) for e in ops):
         raise ValueError("Kraus matrices do not match the declared dimension")
-    meta = obj.get("meta") or {}
+    meta = _object_field(obj, "meta")
     kind = meta.get("kind")
     if validate:
         ch = validate_cptp(ops)
-        return KrausChannel(ch.ops, kind=kind, params=meta.get("params") or {})
+        return KrausChannel(ch.ops, kind=kind, params=_object_field(meta, "params"))
     return KrausChannel(ops, kind=kind, trace_preserving=False)
 
 
@@ -107,9 +125,8 @@ def state_to_json(state: BipartiteState) -> dict:
 def state_from_json(obj: Any) -> BipartiteState:
     if not isinstance(obj, dict) or not {"dimA", "dimB", "matrix"} <= set(obj):
         raise ValueError("state JSON must have 'dimA', 'dimB' and 'matrix' fields")
-    return BipartiteState(
-        int(obj["dimA"]), int(obj["dimB"]), DensityMatrix(matrix_from_json(obj["matrix"]))
-    )
+    dims = _int_field(obj, "dimA"), _int_field(obj, "dimB")
+    return BipartiteState(*dims, DensityMatrix(matrix_from_json(obj["matrix"])))
 
 
 def witness_to_json(w: CreationWitness) -> dict:

@@ -126,7 +126,7 @@ def test_criterion_4_qutrit_consistency():
     anomalies = 0
     for i in range(100):
         channel = random_unital_mixture(3, substream(seed, 2 * i))
-        verdict = classify.classify_qutrit(channel, rng=substream(seed, 2 * i + 1))
+        verdict = classify.classify_qutrit(channel)
         if verdict.label != "creator":
             anomalies += 1
             continue
@@ -139,7 +139,7 @@ def test_criterion_4_qutrit_consistency():
             channel = random_isotropic(3, sampler)
         else:
             channel = random_completely_decohering(3, sampler)
-        verdict = classify.classify_qutrit(channel, rng=substream(seed, 2 * i + 1))
+        verdict = classify.classify_qutrit(channel)
         if verdict.label == "creator":
             anomalies += 1
     announce("4 (qutrit trichotomy)", anomalies == 0, f"200 channels, {anomalies} anomalies")

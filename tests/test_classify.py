@@ -496,41 +496,41 @@ class TestStructureDetectors:
 
 
 class TestIsotropicFit:
-    def test_unitary_round_trip(self, rng):
-        u = haar_unitary(3, rng)
-        ch = chn.isotropic(3, 0.4, "unitary", u)
-        fit = classify.fit_isotropic(ch, rng=rng_from_seed(13))
+    @pytest.mark.parametrize("point", ["lo", "mid", "hi"])
+    @pytest.mark.parametrize("gamma", ["unitary", "transpose"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_round_trip(self, d, gamma, point):
+        lo, hi = chn.isotropic_p_range(d, gamma)
+        p = {"lo": lo, "mid": 0.4 if gamma == "unitary" else -0.2, "hi": hi}[point]
+        ch = chn.isotropic(d, p, gamma, haar_unitary(d, rng_from_seed(13 + d)))
+        fit = classify.fit_isotropic(ch)
         assert fit is not None
-        assert fit.gamma == "unitary"
-        assert fit.p == pytest.approx(0.4, abs=1e-8)
-        refit = chn.isotropic(3, fit.p, fit.gamma, fit.u)
+        if d == 2 and p < 0:
+            # X^T = Tr(X) I - s_y X s_y on qubits, so p Gamma + (1-p) I/2 is also
+            # the other kind of Gamma at -p, and the fit tries +|p| first
+            gamma, p = {"unitary": "transpose", "transpose": "unitary"}[gamma], -p
+        assert fit.gamma == gamma
+        assert fit.p == pytest.approx(p, abs=1e-8)
+        refit = chn.isotropic(d, fit.p, fit.gamma, fit.u)
         assert chn.channel_action_distance(ch, refit) < 1e-8
-
-    def test_transpose_round_trip(self, rng):
-        u = haar_unitary(3, rng)
-        ch = chn.isotropic(3, -0.3, "transpose", u)
-        fit = classify.fit_isotropic(ch, rng=rng_from_seed(14))
-        assert fit is not None
-        assert fit.gamma == "transpose"
-        assert fit.p == pytest.approx(-0.3, abs=1e-8)
 
     def test_dephasing_not_isotropic(self):
         ch = chn.completely_decohering(
             np.eye(3), [np.diag([1.0 * (i == j) for j in range(3)]) for i in range(3)]
         )
-        assert classify.fit_isotropic(ch, rng=rng_from_seed(15)) is None
+        assert classify.fit_isotropic(ch) is None
 
     def test_degenerate_p_zero(self):
-        fit = classify.fit_isotropic(chn.depolarizing(3, 0.0), rng=rng_from_seed(16))
+        fit = classify.fit_isotropic(chn.depolarizing(3, 0.0))
         assert fit is not None
         assert fit.p == 0.0
         assert fit.gamma is None and fit.u is None
 
     def test_non_unital_rejected_fast(self):
-        assert classify.fit_isotropic(amplitude_damping(0.3), rng=rng_from_seed(17)) is None
+        assert classify.fit_isotropic(amplitude_damping(0.3)) is None
 
     def test_generic_mixture_not_isotropic(self, rng):
-        assert classify.fit_isotropic(random_unital_mixture(3, rng), rng=rng_from_seed(18)) is None
+        assert classify.fit_isotropic(random_unital_mixture(3, rng)) is None
 
 
 class TestClassifiers:
@@ -559,7 +559,7 @@ class TestClassifiers:
         assert verdict.consistent
 
     def test_qutrit_depolarizing_is_isotropic(self):
-        verdict = classify.classify_qutrit(chn.depolarizing(3, 0.3), rng=rng_from_seed(22))
+        verdict = classify.classify_qutrit(chn.depolarizing(3, 0.3))
         assert verdict.label == "isotropic"
         assert verdict.iso_fit.p == pytest.approx(0.3, abs=1e-8)
         assert verdict.consistent
@@ -568,12 +568,12 @@ class TestClassifiers:
         ch = chn.completely_decohering(
             np.eye(3), [np.diag([1.0 * (i == j) for j in range(3)]) for i in range(3)]
         )
-        verdict = classify.classify_qutrit(ch, rng=rng_from_seed(23))
+        verdict = classify.classify_qutrit(ch)
         assert verdict.label == "completely_decohering"
         assert verdict.consistent
 
     def test_qutrit_block_mixture_is_creator(self):
-        verdict = classify.classify_qutrit(example_block_channel(), rng=rng_from_seed(24))
+        verdict = classify.classify_qutrit(example_block_channel())
         assert verdict.label == "creator"
         assert verdict.witness.confirmed
         assert verdict.consistent
@@ -581,13 +581,13 @@ class TestClassifiers:
     def test_unital_qutrit_mixture_is_creator(self, rng):
         # mixedness alone does not protect a qutrit
         ch = random_unital_mixture(3, rng)
-        verdict = classify.classify_qutrit(ch, rng=rng_from_seed(25))
+        verdict = classify.classify_qutrit(ch)
         assert verdict.label == "creator"
         assert verdict.consistent
 
     def test_dimension_dispatch(self, rng):
         ch4 = random_cptp(4, rng)
-        verdict = classify.classify_channel(ch4, rng=rng_from_seed(26))
+        verdict = classify.classify_channel(ch4)
         assert verdict.label == "creator"
         assert verdict.consistent is None  # no completeness claim at d >= 4
 
@@ -599,7 +599,7 @@ class TestClassifiers:
     @pytest.mark.parametrize("make", [random_unital_mixture, random_block_unitary_mixture])
     def test_unital_creators_beyond_qutrits(self, make, d):
         # unitality protects only qubits: at d >= 4 these are creators with a witness
-        verdict = classify.classify_channel(make(d, rng_from_seed(27 + d)), rng=rng_from_seed(d))
+        verdict = classify.classify_channel(make(d, rng_from_seed(27 + d)))
         assert verdict.label == "creator"
         assert not verdict.cp.preserving
         assert verdict.witness is not None and verdict.witness.confirmed
@@ -611,7 +611,7 @@ class TestClassifiers:
         report = classify.scan_channels(d, 12, seed=seed)
         for i, row in enumerate(report.rows):
             ch = classify._sample_family(row.family, d, substream(seed, 2 * i))
-            verdict = classify.classify_channel(ch, rng=substream(seed, 2 * i + 1))
+            verdict = classify.classify_channel(ch)
             assert row.label == verdict.label, (i, row.family)
             assert row.max_violation == verdict.cp.max_violation
             if d <= 3:

@@ -8,6 +8,7 @@ from qcorr import channels as chn
 from qcorr import jsonio
 from qcorr.channels import maximally_entangled_ket
 from qcorr.cli import main
+from qcorr.sampling import haar_unitary, rng_from_seed
 from qcorr.states import BipartiteState, DensityMatrix
 
 
@@ -97,6 +98,54 @@ class TestClassifyCommand:
         path = write("bad.json", {"dim": 2, "kraus": [jsonio.matrix_to_json(np.eye(2) * 0.7)]})
         code, _, err = run(capsys, ["classify", "--channel", str(path), "--seed", "1"])
         assert code == 2
+
+    def test_report_does_not_depend_on_seed(self, files, capsys):
+        _, write = files
+        ch = chn.isotropic(3, -0.2, "transpose", haar_unitary(3, rng_from_seed(7)))
+        path = write("iso.json", jsonio.channel_to_json(ch))
+        reports = []
+        for seed in ("1", "2"):
+            code, out, _ = run(
+                capsys, ["classify", "--channel", path, "--seed", seed, "--format", "json"]
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert report["config"].pop("seed") == int(seed)
+            report.pop("timing_s")
+            reports.append(report)
+        assert reports[0]["result"]["label"] == "isotropic"
+        assert reports[0] == reports[1]
+
+
+def _bell_state_json():
+    bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
+    return jsonio.state_to_json(bell)
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command, obj",
+        [
+            ("classify", {"dim": 2, "kraus": 5}),
+            ("classify", {"dim": None, "kraus": []}),
+            ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)), "dim": 2.7}),
+            ("classify", {**jsonio.channel_to_json(chn.identity_channel(1)), "dim": True}),
+            ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)), "meta": [1]}),
+            ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)),
+                          "meta": {"kind": "identity", "params": [1]}}),
+            ("msf", {**_bell_state_json(), "dimA": None}),
+            ("msf", {**_bell_state_json(), "dimB": 2.0}),
+        ],
+        ids=["kraus-not-list", "dim-null", "dim-float", "dim-bool", "meta-not-object",
+             "params-not-object", "dimA-null", "dimB-float"],
+    )
+    def test_exit_2(self, files, capsys, command, obj):
+        _, write = files
+        path = write("bad.json", obj)
+        flag = "--channel" if command == "classify" else "--in"
+        code, _, err = run(capsys, [command, flag, path, "--seed", "1"])
+        assert code == 2
+        assert "error:" in err
 
 
 class TestWitnessCommand:
@@ -255,6 +304,13 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, ["selftest", "--seed", "10", "--tol", "1e-20"])
         assert code == 1
         assert "selftest FAILED" in out
+
+    def test_budget_is_usage_error(self, capsys):
+        # the suite reads no budget, so selftest does not take one
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", "10", "--budget", "100"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 class TestDeterminism:
