@@ -56,7 +56,6 @@ class KrausChannel:
         kind: str | None = None,
         params: dict | None = None,
         trace_preserving: bool = True,
-        atol: float = TP_ATOL,
     ):
         arr = np.array([np.asarray(e, dtype=complex) for e in ops])
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
@@ -68,9 +67,9 @@ class KrausChannel:
             resid = linalg.frobenius(
                 np.einsum("kji,kjl->il", arr.conj(), arr) - np.eye(d)
             )
-            if resid > atol:
+            if resid > TP_ATOL:
                 raise ValueError(
-                    f"not trace preserving: ||sum E^dag E - I||_F = {resid:.3e} > {atol:.0e}"
+                    f"not trace preserving: ||sum E^dag E - I||_F = {resid:.3e} > {TP_ATOL:.0e}"
                 )
         self.ops = arr
         self.ops.setflags(write=False)
@@ -132,9 +131,9 @@ class KrausChannel:
         )
 
 
-def validate_cptp(ops: Sequence[np.ndarray], atol: float = TP_ATOL) -> KrausChannel:
+def validate_cptp(ops: Sequence[np.ndarray]) -> KrausChannel:
     """Validate a raw Kraus list: trace preservation plus Choi positivity."""
-    ch = KrausChannel(ops, kind="raw", atol=atol)
+    ch = KrausChannel(ops, kind="raw")
     wmin = float(linalg.hermitian_eig(choi_matrix(ch)).eigenvalues[0])
     if wmin < -CHOI_PSD_ATOL:
         raise ValueError(f"Choi matrix has eigenvalue {wmin:.3e} < -{CHOI_PSD_ATOL:.0e}")
@@ -150,16 +149,14 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
 def kraus_from_choi(
     j: np.ndarray,
     *,
-    psd_atol: float = CHOI_PSD_ATOL,
-    drop_tol: float = KRAUS_DROP_TOL,
     kind: str | None = None,
     params: dict | None = None,
 ) -> KrausChannel:
     """Extract a minimal Kraus set from a unit-trace Choi matrix.
 
     Gauge: eigenvectors scaled by sqrt(d * eigenvalue), eigenvalues below
-    drop_tol discarded.  Raises if J has an eigenvalue below -psd_atol or if
-    the resulting map is not trace preserving.
+    KRAUS_DROP_TOL discarded.  Raises if J has an eigenvalue below
+    -CHOI_PSD_ATOL or if the resulting map is not trace preserving.
     """
     j = np.asarray(j, dtype=complex)
     n = j.shape[0]
@@ -167,13 +164,13 @@ def kraus_from_choi(
     if j.shape != (n, n) or d * d != n:
         raise ValueError("Choi matrix must be d^2 x d^2")
     spec = linalg.hermitian_eig(j)
-    if float(spec.eigenvalues[0]) < -psd_atol:
+    if float(spec.eigenvalues[0]) < -CHOI_PSD_ATOL:
         raise ValueError(
-            f"Choi matrix has eigenvalue {float(spec.eigenvalues[0]):.3e} < -{psd_atol:.0e}"
+            f"Choi matrix has eigenvalue {float(spec.eigenvalues[0]):.3e} < -{CHOI_PSD_ATOL:.0e}"
         )
     ops = []
     for w, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if w > drop_tol:
+        if w > KRAUS_DROP_TOL:
             ops.append(np.sqrt(d * w) * v.reshape(d, d))
     if not ops:
         raise ValueError("Choi matrix has no eigenvalue above the drop tolerance")

@@ -55,7 +55,6 @@ from .states import (
 )
 
 CP_TOL = 1e-7
-DETECTOR_TOL = 1e-9
 WITNESS_CONFIRM_FACTOR = 10.0
 ORTHO_ATOL = 1e-9
 
@@ -508,8 +507,8 @@ def block_overlap_enables_creation(
 # ---------------------------------------------------------------------------
 
 
-def is_unital(channel: chn.KrausChannel, tol: float = DETECTOR_TOL) -> bool:
-    """||L(I) - I||_F <= tol."""
+def is_unital(channel: chn.KrausChannel, tol: float = CP_TOL) -> bool:
+    """||L(I) - I||_F <= tol, by default the decision tolerance CP_TOL."""
     return linalg.frobenius(channel.apply_to_identity() - np.eye(channel.dim)) <= tol
 
 
@@ -517,7 +516,7 @@ def is_mixing_sampled(
     channel: chn.KrausChannel,
     *,
     n_samples: int = 200,
-    tol: float = DETECTOR_TOL,
+    tol: float = CP_TOL,
     rng: np.random.Generator,
 ) -> bool:
     """Entropy never decreases on sampled inputs (cross-check for unitality).
@@ -557,13 +556,14 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def find_decohering_basis(
-    channel: chn.KrausChannel, tol: float = DETECTOR_TOL
+    channel: chn.KrausChannel, tol: float = CP_TOL
 ) -> np.ndarray | None:
     """Basis in which every channel output is diagonal, if one exists.
 
-    Applies the channel to a Hermitian operator basis; when all images
-    pairwise commute (within normalized tol) their common eigenbasis
-    diagonalizes L(rho) for every rho by linearity.  Returns None otherwise.
+    Applies the channel to a Hermitian operator basis; when all images are
+    normal and pairwise commute within normalized tol (by default the
+    decision tolerance CP_TOL) their common eigenbasis diagonalizes L(rho)
+    for every rho by linearity.  Returns None otherwise.
     """
     skip = 1e-12
     outs = kernels.apply_kraus(channel.ops, hermitian_basis(channel.dim))
@@ -601,15 +601,19 @@ def _polar_unitary(k: np.ndarray) -> np.ndarray:
 def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> IsotropicFit | None:
     """Detect L = p Gamma + (1-p) I/d with spectrum-preserving Gamma.
 
-    Requires unitality.  The unit images obey S - D = p (Gamma - D), D those
-    of the completely depolarizing channel, and ||Gamma - D||_F^2 = d^2 - 1
-    for both kinds of Gamma, so |p| = ||S - D||_F / sqrt(d^2 - 1).  For
-    p = +|p|, then -|p|, it reconstructs Gamma, demands a rank-one Choi for
-    Gamma (unitary case) or for Gamma composed with transpose, and accepts
-    only if the refitted channel reproduces the action on all matrix units
-    within tol.
+    Requires unitality within tol.  The unit images obey S - D = p (Gamma -
+    D), D those of the completely depolarizing channel, and ||Gamma - D||_F^2
+    = d^2 - 1 for both kinds of Gamma, so |p| = ||S - D||_F / sqrt(d^2 - 1).
+    For p = +|p|, then -|p|, the candidate Gamma has unit images g[i, j] =
+    D + (S - D)/p.  A unitary Gamma has g[i, j] = u_i u_j^dag (u_i the
+    columns of u) and a rotated transpose has g[j, i] = u_i u_j^dag, so both
+    kinds are one fit, of g or of g with i, j swapped: every Choi column is
+    vec(u) times a scalar, and u is the polar factor of the column with the
+    largest diagonal entry.  A candidate is accepted iff p lies in the CP
+    range and |p| max_ij ||g[i, j] - u_i u_j^dag||_F <= tol, which is the
+    action distance max_ij ||L(E_ij) - F(E_ij)||_F to the fitted channel F.
     """
-    if not is_unital(channel, max(tol, DETECTOR_TOL)):
+    if not is_unital(channel, tol):
         return None
     d = channel.dim
     # [i, j] = delta_ij I/d: the unit images of the completely depolarizing channel
@@ -619,30 +623,18 @@ def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> Isotropi
         return IsotropicFit(p=0.0, gamma=None, u=None)
 
     p_abs = linalg.frobenius(diff) / np.sqrt(d * d - 1)
-    if p_abs <= max(10 * tol, 1e-6):
-        return None
-    gate = max(1e-4, 100 * tol)
-
     for p in (p_abs, -p_abs):
-        gamma_out = depol + diff / p
-        for gamma in ("unitary", "transpose"):
-            if gamma == "unitary":
-                j_mat = gamma_out.transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
-            else:
-                # Choi of Gamma o T, rank one iff Gamma is a rotated transpose
-                j_mat = gamma_out.transpose(2, 1, 3, 0).reshape(d * d, d * d) / d
-            spec = linalg.hermitian_eig(linalg.hermitian_part(j_mat))
-            if spec.eigenvalues[-1] < 1 - gate or abs(spec.eigenvalues[:-1]).max() > gate:
-                continue
-            k = spec.eigenvectors[:, -1].reshape(d, d) * np.sqrt(d)
-            if linalg.frobenius(k.conj().T @ k - np.eye(d)) > gate * d:
-                continue
-            u = _polar_unitary(k)
+        g = depol + diff / p
+        # the Choi diagonal g[j, j][b, b] is the same for both kinds
+        j, b = np.unravel_index(np.argmax(np.einsum("jjbb->jb", g).real), (d, d))
+        for gamma, units in (("unitary", g), ("transpose", g.swapaxes(0, 1))):
             lo, hi = chn.isotropic_p_range(d, gamma)
             if not lo - 1e-12 <= p <= hi + 1e-12:
                 continue
-            fitted = chn.isotropic(d, float(np.clip(p, lo, hi)), gamma=gamma, u=u)
-            if chn.channel_action_distance(fitted, channel) <= tol:
+            # units[i, j][a, b] = u[a, i] conj(u[b, j]), so this column is u conj(u[b, j])
+            u = _polar_unitary(units[:, j, :, b].T)
+            resid = units - np.einsum("ai,bj->ijab", u, u.conj())
+            if abs(p) * np.linalg.norm(resid, axis=(2, 3)).max() <= tol:
                 return IsotropicFit(p=float(p), gamma=gamma, u=u)
     return None
 
@@ -690,14 +682,16 @@ def _label(
 
     The family label comes from the detectors of the dimension's theorem:
     unital, then completely decohering at d = 2; completely decohering, then
-    isotropic at d >= 3.  The preservation decision always runs; a channel
-    with no family label is a creator when it violates and unclassified
-    otherwise.
+    isotropic at d >= 3.  Every detector judges closeness to its family at
+    the decision's tol, so one threshold decides the label and the verdict
+    it is checked against.  The preservation decision always runs; a
+    channel with no family label is a creator when it violates and
+    unclassified otherwise.
     """
     basis = iso = label = None
-    if channel.dim == 2 and is_unital(channel):
+    if channel.dim == 2 and is_unital(channel, tol):
         label = LABEL_UNITAL
-    elif (basis := find_decohering_basis(channel)) is not None:
+    elif (basis := find_decohering_basis(channel, tol)) is not None:
         label = LABEL_CD
     elif channel.dim >= 3 and (iso := fit_isotropic(channel, tol=tol)) is not None:
         label = LABEL_ISOTROPIC

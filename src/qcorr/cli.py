@@ -25,7 +25,7 @@ from .classify import DEFAULT_BUDGET
 from .sampling import rng_from_seed
 from .selftest import run_selftest
 
-DEFAULT_TOL = 1e-7
+DEFAULT_TOL = classify.CP_TOL
 DEFAULT_SAMPLES = 200
 
 
@@ -55,12 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, *, seed: str | None, budget: bool = True) -> None:
+    def common(
+        sp: argparse.ArgumentParser, *, seed: str | None, budget: bool = True, tol: bool = True
+    ) -> None:
         if seed is not None:
             sp.add_argument("--seed", type=int, default=None,
                             help=f"64-bit {seed}; drawn from entropy (and echoed) if omitted")
-        sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
-                        help="decision tolerance on normalized violations (default 1e-7)")
+        if tol:
+            sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
+                            help=("decision tolerance on normalized violations and on every "
+                                  f"family test (default {DEFAULT_TOL:g})"))
         if budget:
             sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
                             help=("pair evaluations per preservation search (msf: ascent "
@@ -83,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="optional channel JSON; also reports the fraction after I(x)L")
     sp.add_argument("--require-mixing", action="store_true",
                     help="reject non-unital channels (the bound is only claimed for them)")
-    common(sp, seed="master seed for the msf starts")
+    common(sp, seed="master seed for the msf starts", tol=False)  # msf reads no tol
 
     sp = sub.add_parser("scan", help="census scan over sampled channel families")
     sp.add_argument("--dim", type=int, required=True, help="channel dimension (>= 2)")
@@ -104,9 +108,9 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 def _workers() -> int:
     raw = os.environ.get("QCORR_THREADS", "1")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"QCORR_THREADS must be an integer >= 1, got {raw!r}") from None
 
 
 def _envelope(args: argparse.Namespace, result: dict, t0: float) -> dict:

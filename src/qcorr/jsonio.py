@@ -101,7 +101,8 @@ def _object_field(obj: dict, key: str) -> dict:
     return value
 
 
-def channel_from_json(obj: Any, validate: bool = True) -> KrausChannel:
+def channel_from_json(obj: Any) -> KrausChannel:
+    """A validated CPTP channel: trace preserving with a PSD Choi matrix."""
     if not isinstance(obj, dict) or "dim" not in obj or "kraus" not in obj:
         raise ValueError("channel JSON must have 'dim' and 'kraus' fields")
     dim = _int_field(obj, "dim")
@@ -111,11 +112,8 @@ def channel_from_json(obj: Any, validate: bool = True) -> KrausChannel:
     if any(e.shape != (dim, dim) for e in ops):
         raise ValueError("Kraus matrices do not match the declared dimension")
     meta = _object_field(obj, "meta")
-    kind = meta.get("kind")
-    if validate:
-        ch = validate_cptp(ops)
-        return KrausChannel(ch.ops, kind=kind, params=_object_field(meta, "params"))
-    return KrausChannel(ops, kind=kind, trace_preserving=False)
+    ch = validate_cptp(ops)
+    return KrausChannel(ch.ops, kind=meta.get("kind"), params=_object_field(meta, "params"))
 
 
 def state_to_json(state: BipartiteState) -> dict:

@@ -6,7 +6,8 @@ the single "normal and pairwise commuting" test: the classical-on-B
 detector and the decohering-channel detector call it, and
 simultaneous_diagonalization calls it to name the fault of a family it
 cannot diagonalize.  Default tolerances: Hermiticity 1e-10, commutator
-checks 1e-9, both relative to the operand norms.
+checks 1e-9, both relative to the operand norms; entropy clamps eigenvalues
+down to -1e-10.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import kernels
 
 HERM_TOL = 1e-10
 COMMUTATOR_TOL = 1e-9
+SPECTRUM_ATOL = 1e-10
 
 _SIMDIAG_TRIES = 5
 
@@ -31,8 +33,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return frobenius(m - m.conj().T) <= tol * (1 + frobenius(m))
+def is_hermitian(m: np.ndarray) -> bool:
+    return frobenius(m - m.conj().T) <= HERM_TOL * (1 + frobenius(m))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,27 +94,27 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERM_TOL) -> Spectrum:
+def hermitian_eig(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix via ``kernels.eigh``."""
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = kernels.eigh(hermitian_part(m))
     return Spectrum(eigenvalues=np.asarray(w), eigenvectors=np.asarray(v))
 
 
-def von_neumann_entropy(eigenvalues_or_rho: np.ndarray, atol: float = 1e-10) -> float:
+def von_neumann_entropy(eigenvalues_or_rho: np.ndarray) -> float:
     """S = -sum_i p_i log2 p_i in bits; 0 log 0 := 0.
 
     Accepts a density matrix or its spectrum.  Eigenvalues slightly below
-    zero (within atol) are clamped.
+    zero (within SPECTRUM_ATOL) are clamped.
     """
     arr = np.asarray(eigenvalues_or_rho)
     if arr.ndim == 2:
         arr = hermitian_eig(arr).eigenvalues
     p = np.asarray(arr, dtype=float)
-    if p.min() < -atol:
-        raise ValueError(f"spectrum has eigenvalue {p.min():.3e} below -{atol:.0e}")
+    if p.min() < -SPECTRUM_ATOL:
+        raise ValueError(f"spectrum has eigenvalue {p.min():.3e} below -{SPECTRUM_ATOL:.0e}")
     p = np.clip(p, 0.0, None)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
@@ -140,18 +142,18 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
 def simultaneous_diagonalization(
     mats: list[np.ndarray] | tuple[np.ndarray, ...] | np.ndarray,
     tol: float = COMMUTATOR_TOL,
-    max_tries: int = _SIMDIAG_TRIES,
 ) -> np.ndarray:
     """Common eigenbasis of a family of commuting normal matrices.
 
     Diagonalizes a random real combination of the Hermitian and
     anti-Hermitian parts (generic coefficients split accidental
     degeneracies with probability one), then verifies every conjugated
-    matrix is diagonal; retries with fresh coefficients before giving up.
-    Returns the unitary V with V^dag M_i V diagonal within
-    tol * (1 + ||M_i||_F).  That bound is the whole contract: a family that
-    passes it is accepted even when a member is non-normal, or a pair fails
-    to commute, by less than it (e.g. a nilpotent member of norm below tol).
+    matrix is diagonal; retries with fresh coefficients (_SIMDIAG_TRIES
+    draws in all) before giving up.  Returns the unitary V with V^dag M_i V
+    diagonal within tol * (1 + ||M_i||_F).  That bound is the whole
+    contract: a family that passes it is accepted even when a member is
+    non-normal, or a pair fails to commute, by less than it (e.g. a
+    nilpotent member of norm below tol).
     The verification is the proof, so the family is scanned with
     worst_commutation_defect only when every try fails: the error then says
     whether a member is non-normal, a pair fails to commute within tol in
@@ -172,7 +174,7 @@ def simultaneous_diagonalization(
     # Fixed internal stream: any verified draw is a valid answer, so a fixed
     # seed keeps the result reproducible without threading an rng through.
     rng = np.random.default_rng(0x51D1A6)
-    for _ in range(max_tries):
+    for _ in range(_SIMDIAG_TRIES):
         coeff = rng.standard_normal(len(parts))
         v = hermitian_eig(np.tensordot(coeff, parts, axes=1)).eigenvectors
         t = v.conj().T @ stack @ v

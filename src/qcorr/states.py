@@ -18,23 +18,24 @@ from . import linalg
 TRACE_ATOL = 1e-10
 PSD_CLAMP = 1e-10
 KET_ATOL = 1e-12
+ORTHONORMAL_ATOL = 1e-10
 CLASSICALITY_TOL = 1e-9
 
 
-def check_ket(v: np.ndarray, atol: float = KET_ATOL) -> np.ndarray:
+def check_ket(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > atol:
+    if abs(np.linalg.norm(v) - 1.0) > KET_ATOL:
         raise ValueError("state vector is not normalized")
     return v
 
 
-def check_orthonormal(columns: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+def check_orthonormal(columns: np.ndarray) -> np.ndarray:
     """Validate that the columns of a matrix are orthonormal (Gram residual)."""
     b = np.asarray(columns, dtype=complex)
     if b.ndim != 2:
         raise ValueError("expected a matrix whose columns are basis vectors")
     gram = b.conj().T @ b
-    if linalg.frobenius(gram - np.eye(b.shape[1])) > atol:
+    if linalg.frobenius(gram - np.eye(b.shape[1])) > ORTHONORMAL_ATOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return b
 
@@ -190,12 +191,13 @@ def reassemble_blocks(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def is_classical_on_b(state: BipartiteState, tol: float = CLASSICALITY_TOL) -> ClassicalityReport:
+def is_classical_on_b(state: BipartiteState) -> ClassicalityReport:
     """Test whether a bipartite state is classical on B.
 
     Classical iff every block C_kl is normal and all pairs commute within
-    tol (normalized defects).  On success the common eigenbasis of the
-    blocks is returned as the non-disturbing measurement basis.
+    CLASSICALITY_TOL (normalized defects).  On success the common
+    eigenbasis of the blocks is returned as the non-disturbing measurement
+    basis.
     """
     da, db = state.dim_a, state.dim_b
     # flat[k * da + l] = C_kl
@@ -204,13 +206,13 @@ def is_classical_on_b(state: BipartiteState, tol: float = CLASSICALITY_TOL) -> C
     worst, pair = linalg.worst_commutation_defect(flat, skip=skip)
     worst_pair = None if pair is None else (divmod(pair[0], da), divmod(pair[1], da))
 
-    classical = worst <= tol
+    classical = worst <= CLASSICALITY_TOL
     basis = None
     if classical:
         members = flat[np.linalg.norm(flat, axis=(1, 2)) > skip]
         # Blocks are normal and commuting here, so a common basis exists;
         # widen the verification tolerance to what we just certified.
-        basis = linalg.simultaneous_diagonalization(members, tol=max(tol, 10 * worst))
+        basis = linalg.simultaneous_diagonalization(members, tol=max(CLASSICALITY_TOL, 10 * worst))
     return ClassicalityReport(
         is_classical_on_b=classical,
         quantumness=worst,

@@ -483,7 +483,7 @@ class TestStructureDetectors:
         ]
         if d >= 3:
             cases.append(random_block_unitary_mixture(d, rng))
-        tol = classify.DETECTOR_TOL
+        tol = classify.CP_TOL
         for ch in cases:
             images = [ch.apply_matrix(h) for h in classify.hermitian_basis(d)]
             worst, _ = pairwise_worst_defect(images, skip=1e-12)
@@ -496,12 +496,13 @@ class TestStructureDetectors:
 
 
 class TestIsotropicFit:
-    @pytest.mark.parametrize("point", ["lo", "mid", "hi"])
+    # the small |p| points lie a few tol from p = 0 and are still isotropic
+    @pytest.mark.parametrize("point", ["lo", "mid", "hi", 5e-7, -5e-7, 9e-7])
     @pytest.mark.parametrize("gamma", ["unitary", "transpose"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_round_trip(self, d, gamma, point):
         lo, hi = chn.isotropic_p_range(d, gamma)
-        p = {"lo": lo, "mid": 0.4 if gamma == "unitary" else -0.2, "hi": hi}[point]
+        p = {"lo": lo, "mid": 0.4 if gamma == "unitary" else -0.2, "hi": hi}.get(point, point)
         ch = chn.isotropic(d, p, gamma, haar_unitary(d, rng_from_seed(13 + d)))
         fit = classify.fit_isotropic(ch)
         assert fit is not None
@@ -513,6 +514,9 @@ class TestIsotropicFit:
         assert fit.p == pytest.approx(p, abs=1e-8)
         refit = chn.isotropic(d, fit.p, fit.gamma, fit.u)
         assert chn.channel_action_distance(ch, refit) < 1e-8
+        if d >= 3:
+            verdict = classify.classify_channel(ch)
+            assert verdict.label == "isotropic" and verdict.consistent is not False
 
     def test_dephasing_not_isotropic(self):
         ch = chn.completely_decohering(
@@ -604,6 +608,19 @@ class TestClassifiers:
         assert not verdict.cp.preserving
         assert verdict.witness is not None and verdict.witness.confirmed
         assert verdict.consistent is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_near_decohering_mixtures_are_decohering(self, d):
+        # (1 - 1e-9) P + 1e-9 R with P decohering lies within tol of the
+        # decohering family, so it carries that label, not unclassified
+        eps = 1e-9
+        for seed in range(12):
+            rng = rng_from_seed(seed)
+            p, r = random_completely_decohering(d, rng), random_cptp(d, rng)
+            ch = chn.KrausChannel(np.concatenate([np.sqrt(1 - eps) * p.ops, np.sqrt(eps) * r.ops]))
+            verdict = classify.classify_channel(ch)
+            assert verdict.label == "completely_decohering", seed
+            assert verdict.consistent is (True if d <= 3 else None), seed
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_scan_rows_match_classify_channel(self, d):

@@ -224,6 +224,16 @@ class TestMsfCommand:
         assert code == 2
         assert "unital" in err
 
+    def test_tol_is_usage_error(self, files, capsys):
+        # msf reads no tolerance, so it does not take one
+        _, write = files
+        bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
+        path = write("bell.json", jsonio.state_to_json(bell))
+        with pytest.raises(SystemExit) as exc:
+            main(["msf", "--in", path, "--seed", "5", "--tol", "1e-7"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestScanCommand:
     def test_small_qutrit_scan_clean(self, capsys):
@@ -292,6 +302,13 @@ class TestWorkerEnv:
         assert code1 == code2 == 0
         a, b = json.loads(out1), json.loads(out2)
         assert a["result"] == b["result"]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_thread_env_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QCORR_THREADS", value)
+        code, _, err = run(capsys, ["scan", "--dim", "2", "--samples", "2", "--seed", "13"])
+        assert code == 2
+        assert "QCORR_THREADS" in err
 
 
 class TestSelftestCommand:
