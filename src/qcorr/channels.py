@@ -43,11 +43,12 @@ class KrausChannel:
     """A channel given by Kraus operators {E_i} acting as sum_i E_i rho E_i^dag.
 
     Validated to be trace preserving (sum_i E_i^dag E_i = I) unless built
-    with trace_preserving=False, which is used only for adjoint channels.
+    with trace_preserving=False; only adjoint does so, and the flag is not
+    stored.
     kind/params carry optional constructor metadata for serialization.
     """
 
-    __slots__ = ("dim", "ops", "kind", "params", "trace_preserving")
+    __slots__ = ("dim", "ops", "kind", "params")
 
     def __init__(
         self,
@@ -76,7 +77,6 @@ class KrausChannel:
         self.dim = d
         self.kind = kind
         self.params = params or {}
-        self.trace_preserving = trace_preserving
 
     def __repr__(self) -> str:
         kind = f", kind={self.kind!r}" if self.kind else ""

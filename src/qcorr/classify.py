@@ -762,6 +762,37 @@ def classify_qutrit(
 
 MSF_STEP_TOL = 1e-15
 MSF_SLACK = 1e-6
+MSF_ESCAPE_RADIUS = 1.0
+MSF_FLAT_FRACTION = 0.02
+
+
+@lru_cache(maxsize=None)
+def _su_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An orthonormal basis of the traceless Hermitian d x d matrices.
+
+    Returns (basis, cols, t_basis, t_anti), read-only: basis is (d^2 - 1,
+    d, d), the d - 1 diagonal generalized Gell-Mann matrices diag(1, ...,
+    1, -l, 0, ...)/sqrt(l (l + 1)) and then the off-diagonal units of
+    hermitian_basis.  cols lays the H_k side by side, so U @ cols holds
+    every U H_k; for any K, K.reshape(d^2) @ t_basis gives tr(K H_k) and
+    K.reshape(d^2) @ t_anti gives tr(K {H_k, H_l}/2), flattened over k, l.
+    Cached per d.
+    """
+    diag = np.zeros((d - 1, d, d), dtype=complex)
+    for l in range(1, d):
+        diag[l - 1, np.arange(l), np.arange(l)] = 1.0
+        diag[l - 1, l, l] = -l
+        diag[l - 1] /= np.sqrt(l * (l + 1))
+    basis = np.concatenate([diag, hermitian_basis(d)[d:]])
+    k = len(basis)
+    prods = basis[:, None] @ basis[None, :]
+    anti = (prods + prods.transpose(1, 0, 2, 3)) / 2
+    cols = np.ascontiguousarray(basis.transpose(1, 0, 2).reshape(d, k * d))
+    t_basis = np.ascontiguousarray(basis.transpose(2, 1, 0).reshape(d * d, k))
+    t_anti = np.ascontiguousarray(anti.transpose(3, 2, 0, 1).reshape(d * d, k * k))
+    for a in (basis, cols, t_basis, t_anti):
+        a.setflags(write=False)
+    return basis, cols, t_basis, t_anti
 
 
 @dataclass(frozen=True)
@@ -770,10 +801,14 @@ class MsfResult:
 
     fidelity is the average-teleportation value (d F + 1)/(d + 1).  F is a
     lower bound on the true maximum: the overlap at the best unitary found,
-    never below the overlap at U = I.  converged says every start met the
-    stopping rule (a step gaining at most MSF_STEP_TOL) within the budget;
-    evals counts objective-and-gradient evaluations summed over starts and
-    iterations counts the ascent steps of the longest-running start.
+    never below the overlap at U = I.  f_upper = min(lambda_max(rho),
+    ||rho^T_B||_1 / d) is an upper bound on it: <Phi_U|rho|Phi_U> =
+    tr(rho^T_B Phi_U^T_B) and ||Phi_U^T_B||_inf = 1/d.  converged says
+    every start met the stopping rule (a step gaining at most MSF_STEP_TOL)
+    within the budget.  evals counts objective-and-gradient evaluations
+    summed over starts, two per active start per step (the polar and the
+    Newton candidate); iterations counts the steps of the longest-running
+    start.
     """
 
     f_value: float
@@ -782,6 +817,43 @@ class MsfResult:
     evals: int
     converged: bool
     iterations: int
+    f_upper: float
+
+
+def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndarray:
+    """One Riemannian Newton step on U(d) per start, retracted by the Cayley map.
+
+    In an orthonormal traceless basis H_k (the phase direction is flat),
+    f(U e^{iH}) has gradient g_k = -2 Im tr(K H_k) and Hessian 2 [Re<U H_k,
+    M U H_l> - Re tr(K {H_k, H_l}/2)], with K = G^dag U.  Along eigenvectors
+    of negative curvature the step is Newton's; along those of positive
+    curvature (a saddle or a minimum) it is MSF_ESCAPE_RADIUS times the
+    sign of the gradient component, which escapes saddles.  A curvature
+    within MSF_FLAT_FRACTION of the largest |curvature| of zero counts as
+    flat and takes the gradient component over that floor instead: there
+    the quadratic model says nothing about the step length, and both full
+    steps overshoot.  The step norm is capped at MSF_ESCAPE_RADIUS.
+    """
+    a, d, _ = u.shape
+    n = d * d
+    basis, cols, t_basis, t_anti = _su_basis(d)
+    k = len(basis)
+    kk = (g.conj().transpose(0, 2, 1) @ u).reshape(a, n)
+    grad = -2 * (kk @ t_basis).imag
+    uh = (u.reshape(a * d, d) @ cols).reshape(a, d, k, d).transpose(0, 2, 1, 3).reshape(a, k, n)
+    muh = uh @ m_t
+    hess = 2 * ((uh.conj() @ muh.transpose(0, 2, 1)).real - (kk @ t_anti).real.reshape(a, k, k))
+    curv, vecs = np.linalg.eigh(hess)
+    proj = (grad[:, None] @ vecs)[:, 0]
+    radius = MSF_ESCAPE_RADIUS
+    flat = MSF_FLAT_FRACTION * np.abs(curv).max(axis=1, keepdims=True, initial=0.0)
+    scale = np.where(curv < -flat, -curv, np.where(curv > flat, np.abs(proj) / radius, flat))
+    step = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
+    norm = np.linalg.norm(step, axis=1, keepdims=True)
+    step *= radius / np.maximum(norm, radius)
+    h = ((vecs @ step[..., None])[..., 0] @ basis.reshape(k, n)).reshape(a, d, d)
+    eye = np.eye(d)
+    return u @ np.linalg.solve(eye - 0.5j * h, eye + 0.5j * h)
 
 
 def msf(
@@ -791,15 +863,18 @@ def msf(
     starts: int = DEFAULT_STARTS,
     rng: np.random.Generator,
 ) -> MsfResult:
-    """Maximize <Phi_U|rho|Phi_U> over unitaries on B by multistart see-saw ascent.
+    """Maximize <Phi_U|rho|Phi_U> over unitaries on B by multistart ascent.
 
-    f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U,
-    so replacing U by the polar factor of the gradient G = M U never lowers
-    f: the polar factor maximizes the linear minorant 2 Re<V, G> - f(U).
+    f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U.
+    Each step evaluates two candidates per start and keeps the better: the
+    polar factor of the gradient G = M U, which never lowers f (it
+    maximizes the linear minorant 2 Re<V, G> - f(U)), and a Riemannian
+    Newton step with saddle escape (_newton_candidates), which converges
+    quadratically near a maximum.  A step that would lower f is not taken.
     Start 0 is U = I; the others are Haar draws, and all starts step
     together as one batch.  A start leaves the batch once a step gains at
-    most MSF_STEP_TOL (a step that would lower f is not taken).  budget caps
-    the evaluations summed over starts, one per start per step.
+    most MSF_STEP_TOL.  budget caps the evaluations summed over starts, one
+    per candidate: when it runs short, the polar candidates come first.
     """
     if state.dim_a != state.dim_b:
         raise ValueError("maximal entangled fraction needs equal local dimensions")
@@ -824,16 +899,24 @@ def msf(
     active = np.arange(n_starts)
     while active.size and evals < budget:
         active = active[: budget - evals]
+        n_newton = min(active.size, budget - evals - active.size)
         w, _, vh = np.linalg.svd(g[active])
-        u_new = w @ vh
-        g_new, f_new = grad_and_value(u_new)
-        evals += active.size
+        cand = w @ vh
+        if n_newton:
+            newton = _newton_candidates(u[active[:n_newton]], g[active[:n_newton]], m_t)
+            cand = np.concatenate([cand, newton])
+        g_cand, f_cand = grad_and_value(cand)
+        evals += len(cand)
         iterations += 1
-        gain = f_new - f[active]
+        # index of the better candidate per start: the Newton one where it gains more
+        pick = np.arange(active.size)
+        better = f_cand[active.size :] > f_cand[:n_newton]
+        pick[:n_newton][better] += active.size
+        gain = f_cand[pick] - f[active]
         take = gain >= 0
-        u[active[take]] = u_new[take]
-        g[active[take]] = g_new[take]
-        f[active[take]] = f_new[take]
+        u[active[take]] = cand[pick[take]]
+        g[active[take]] = g_cand[pick[take]]
+        f[active[take]] = f_cand[pick[take]]
         done = gain <= MSF_STEP_TOL
         converged[active[done]] = True
         active = active[~done]
@@ -847,7 +930,16 @@ def msf(
         evals=evals,
         converged=bool(converged.all()),
         iterations=iterations,
+        f_upper=entangled_fraction_upper(state),
     )
+
+
+def entangled_fraction_upper(state: BipartiteState) -> float:
+    """min(lambda_max(rho), ||rho^T_B||_1 / d), an upper bound on F."""
+    d = state.dim_a
+    pt = state.mat.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    top = np.linalg.eigvalsh(state.mat)[-1]
+    return float(min(top, np.abs(np.linalg.eigvalsh(pt)).sum() / d))
 
 
 def entangled_overlap_direct(state: BipartiteState, u: np.ndarray) -> float:

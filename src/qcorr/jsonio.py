@@ -197,6 +197,7 @@ def classification_to_json(v: ClassificationVerdict) -> dict:
 def msf_to_json(r: MsfResult) -> dict:
     return {
         "F": r.f_value,
+        "F_upper": r.f_upper,
         "fidelity": r.fidelity,
         "unitary": matrix_to_json(r.unitary),
         "evals": r.evals,

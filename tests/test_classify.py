@@ -655,6 +655,7 @@ class TestMsf:
         res = classify.msf(st, rng=rng_from_seed(30))
         expected = (np.sqrt(0.9) + np.sqrt(0.1)) ** 2 / 2
         assert res.f_value == pytest.approx(expected, abs=1e-9)
+        assert res.f_upper - res.f_value < 1e-9
 
     def test_pure_state_closed_form_higher_dims(self):
         # F = (sum_k sqrt(lambda_k))^2 / d from the Schmidt coefficients,
@@ -669,6 +670,52 @@ class TestMsf:
             res = classify.msf(st, rng=rng_from_seed(50 + d))
             expected = np.sqrt(lam).sum() ** 2 / d
             assert res.f_value == pytest.approx(expected, abs=1e-9), d
+            # for a pure state ||rho^T_B||_1 / d is F itself
+            assert res.f_upper - res.f_value < 1e-9, d
+
+    def test_upper_bound_holds(self):
+        for d in (2, 3, 4):
+            for i in range(8):
+                st = random_bipartite(d, d, substream(0xB0 + d, 2 * i))
+                res = classify.msf(st, budget=2000, starts=4, rng=substream(0xB0 + d, 2 * i + 1))
+                assert res.f_value <= res.f_upper + 1e-12, (d, i)
+                assert res.f_upper <= np.linalg.eigvalsh(st.mat)[-1] + 1e-12, (d, i)
+
+    def test_convergence_tail(self):
+        # criterion-7 inputs, among them every one whose search ended
+        # converged: false under the pure polar ascent (tail at d = 2, and
+        # i = 1003 at d = 3)
+        seed = 0xA7
+        tail = [40, 424, 548, 596, 657, 745, 751, 753, 758, 866, 970]
+        for i in list(range(12)) + tail + [1000, 1001, 1003]:
+            d = 2 if i < 1000 else 3
+            budget, starts = (6000, 12) if d == 2 else (12000, 24)
+            state = random_bipartite(d, d, substream(seed, 3 * i))
+            n_u = int(substream(seed, 3 * i + 1).integers(2, 5))
+            ch = random_unital_mixture(d, substream(seed, 3 * i + 1), n_unitaries=n_u)
+            bound = classify.verify_msf_bound(
+                state, ch, budget=budget, starts=starts, rng=substream(seed, 3 * i + 2)
+            )
+            for res, st in ((bound.before, state), (bound.after, ch.apply_local_b(state))):
+                assert res.converged, i
+                if d == 2:
+                    assert abs(res.f_value - exact_entangled_fraction_2q(st.mat)) <= 1e-12, i
+
+    def test_budget_accounting(self):
+        # a step costs one evaluation per candidate, two per active start
+        starts = 4
+        for d in (2, 3):
+            st = random_bipartite(d, d, rng_from_seed(70 + d))
+            floor = classify.entangled_overlap_direct(st, np.eye(d))
+            for budget in (1, starts, starts + 1, 2 * starts, 2 * starts + 1):
+                res = classify.msf(st, budget=budget, starts=starts, rng=rng_from_seed(75))
+                again = classify.msf(st, budget=budget, starts=starts, rng=rng_from_seed(75))
+                assert res.evals <= budget, (d, budget)
+                assert res.f_value >= floor - 1e-12, (d, budget)
+                assert (res.f_value, res.evals, res.iterations) == (
+                    again.f_value, again.evals, again.iterations
+                )
+                assert np.array_equal(res.unitary, again.unitary)
 
     def test_local_unitary_invariance(self):
         for d in (2, 3):
@@ -703,6 +750,13 @@ class TestMsf:
         res = classify.msf(bell_44(), budget=2000, starts=4, rng=rng_from_seed(36))
         d = 2
         assert res.fidelity == (d * res.f_value + 1) / (d + 1)
+
+    def test_one_dimensional(self):
+        # d = 1 has no traceless direction, so the Newton step is empty
+        st = BipartiteState(1, 1, DensityMatrix(np.eye(1)))
+        res = classify.msf(st, budget=40, starts=4, rng=rng_from_seed(38))
+        assert res.f_value == pytest.approx(1.0, abs=1e-12)
+        assert res.converged and res.evals <= 40
 
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):

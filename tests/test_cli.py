@@ -195,6 +195,7 @@ class TestMsfCommand:
         assert code == 0
         report = json.loads(out)
         assert report["result"]["msf"]["F"] == pytest.approx(1.0, abs=1e-8)
+        assert report["result"]["msf"]["F_upper"] == pytest.approx(1.0, abs=1e-12)
         assert report["result"]["msf"]["converged"] is True
 
     def test_bell_with_depolarizing_closed_form(self, files, capsys):
