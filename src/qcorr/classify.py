@@ -764,35 +764,34 @@ MSF_STEP_TOL = 1e-15
 MSF_SLACK = 1e-6
 MSF_ESCAPE_RADIUS = 1.0
 MSF_FLAT_FRACTION = 0.02
+# The Newton step costs O(d^6) per start (its Hessian and eigh) against
+# O(d^4) for the polar step.  Timed on a 2-vCPU x86-64 machine with
+# OpenBLAS, its fewer steps pay for that at d = 2 and 3;
+# at d = 4 and 5 the total time is about even and the median check slower,
+# and at d = 6 and 8 it is slower, so larger d climbs by the polar step
+# alone.
+MSF_NEWTON_MAX_DIM = 3
 
 
 @lru_cache(maxsize=None)
-def _su_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """An orthonormal basis of the traceless Hermitian d x d matrices.
+def _newton_layouts(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hermitian_basis(d) laid out for the Newton step's contractions.
 
-    Returns (basis, cols, t_basis, t_anti), read-only: basis is (d^2 - 1,
-    d, d), the d - 1 diagonal generalized Gell-Mann matrices diag(1, ...,
-    1, -l, 0, ...)/sqrt(l (l + 1)) and then the off-diagonal units of
-    hermitian_basis.  cols lays the H_k side by side, so U @ cols holds
-    every U H_k; for any K, K.reshape(d^2) @ t_basis gives tr(K H_k) and
-    K.reshape(d^2) @ t_anti gives tr(K {H_k, H_l}/2), flattened over k, l.
-    Cached per d.
+    Returns (cols, t_basis, t_anti), read-only: cols lays the H_k side by
+    side, so U @ cols holds every U H_k; for any K, K.reshape(d^2) @ t_basis
+    gives tr(K H_k) and K.reshape(d^2) @ t_anti gives tr(K {H_k, H_l}/2),
+    flattened over k, l.  Cached per d.
     """
-    diag = np.zeros((d - 1, d, d), dtype=complex)
-    for l in range(1, d):
-        diag[l - 1, np.arange(l), np.arange(l)] = 1.0
-        diag[l - 1, l, l] = -l
-        diag[l - 1] /= np.sqrt(l * (l + 1))
-    basis = np.concatenate([diag, hermitian_basis(d)[d:]])
+    basis = hermitian_basis(d)
     k = len(basis)
     prods = basis[:, None] @ basis[None, :]
     anti = (prods + prods.transpose(1, 0, 2, 3)) / 2
     cols = np.ascontiguousarray(basis.transpose(1, 0, 2).reshape(d, k * d))
     t_basis = np.ascontiguousarray(basis.transpose(2, 1, 0).reshape(d * d, k))
     t_anti = np.ascontiguousarray(anti.transpose(3, 2, 0, 1).reshape(d * d, k * k))
-    for a in (basis, cols, t_basis, t_anti):
+    for a in (cols, t_basis, t_anti):
         a.setflags(write=False)
-    return basis, cols, t_basis, t_anti
+    return cols, t_basis, t_anti
 
 
 @dataclass(frozen=True)
@@ -806,9 +805,9 @@ class MsfResult:
     tr(rho^T_B Phi_U^T_B) and ||Phi_U^T_B||_inf = 1/d.  converged says
     every start met the stopping rule (a step gaining at most MSF_STEP_TOL)
     within the budget.  evals counts objective-and-gradient evaluations
-    summed over starts, two per active start per step (the polar and the
-    Newton candidate); iterations counts the steps of the longest-running
-    start.
+    summed over starts, one per candidate: two per active start per step
+    (the polar and the Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one
+    above.  iterations counts the steps of the longest-running start.
     """
 
     f_value: float
@@ -823,21 +822,24 @@ class MsfResult:
 def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndarray:
     """One Riemannian Newton step on U(d) per start, retracted by the Cayley map.
 
-    In an orthonormal traceless basis H_k (the phase direction is flat),
-    f(U e^{iH}) has gradient g_k = -2 Im tr(K H_k) and Hessian 2 [Re<U H_k,
-    M U H_l> - Re tr(K {H_k, H_l}/2)], with K = G^dag U.  Along eigenvectors
+    In the orthonormal basis H_k of hermitian_basis, f(U e^{iH}) has
+    gradient g_k = -2 Im tr(K H_k) and Hessian 2 [Re<U H_k, M U H_l> -
+    Re tr(K {H_k, H_l}/2)], with K = G^dag U.  Along eigenvectors
     of negative curvature the step is Newton's; along those of positive
     curvature (a saddle or a minimum) it is MSF_ESCAPE_RADIUS times the
     sign of the gradient component, which escapes saddles.  A curvature
     within MSF_FLAT_FRACTION of the largest |curvature| of zero counts as
     flat and takes the gradient component over that floor instead: there
     the quadratic model says nothing about the step length, and both full
-    steps overshoot.  The step norm is capped at MSF_ESCAPE_RADIUS.
+    steps overshoot.  The phase direction H = I is flat with zero gradient,
+    f(e^{it} U) = f(U), so it gets no step.  The step norm is capped at
+    MSF_ESCAPE_RADIUS.
     """
     a, d, _ = u.shape
     n = d * d
-    basis, cols, t_basis, t_anti = _su_basis(d)
+    basis = hermitian_basis(d)
     k = len(basis)
+    cols, t_basis, t_anti = _newton_layouts(d)
     kk = (g.conj().transpose(0, 2, 1) @ u).reshape(a, n)
     grad = -2 * (kk @ t_basis).imag
     uh = (u.reshape(a * d, d) @ cols).reshape(a, d, k, d).transpose(0, 2, 1, 3).reshape(a, k, n)
@@ -866,11 +868,12 @@ def msf(
     """Maximize <Phi_U|rho|Phi_U> over unitaries on B by multistart ascent.
 
     f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U.
-    Each step evaluates two candidates per start and keeps the better: the
-    polar factor of the gradient G = M U, which never lowers f (it
-    maximizes the linear minorant 2 Re<V, G> - f(U)), and a Riemannian
-    Newton step with saddle escape (_newton_candidates), which converges
-    quadratically near a maximum.  A step that would lower f is not taken.
+    Each step evaluates the polar factor of the gradient G = M U, which
+    never lowers f (it maximizes the linear minorant 2 Re<V, G> - f(U)).
+    For d <= MSF_NEWTON_MAX_DIM it also evaluates a Riemannian Newton step
+    with saddle escape (_newton_candidates), which converges quadratically
+    near a maximum, and keeps the better of the two.  A step that would
+    lower f is not taken.
     Start 0 is U = I; the others are Haar draws, and all starts step
     together as one batch.  A start leaves the batch once a step gains at
     most MSF_STEP_TOL.  budget caps the evaluations summed over starts, one
@@ -897,9 +900,10 @@ def msf(
     iterations = 0
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
+    use_newton = d <= MSF_NEWTON_MAX_DIM
     while active.size and evals < budget:
         active = active[: budget - evals]
-        n_newton = min(active.size, budget - evals - active.size)
+        n_newton = min(active.size, budget - evals - active.size) if use_newton else 0
         w, _, vh = np.linalg.svd(g[active])
         cand = w @ vh
         if n_newton:

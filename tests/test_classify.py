@@ -679,7 +679,14 @@ class TestMsf:
                 st = random_bipartite(d, d, substream(0xB0 + d, 2 * i))
                 res = classify.msf(st, budget=2000, starts=4, rng=substream(0xB0 + d, 2 * i + 1))
                 assert res.f_value <= res.f_upper + 1e-12, (d, i)
-                assert res.f_upper <= np.linalg.eigvalsh(st.mat)[-1] + 1e-12, (d, i)
+                # both halves of the bound, the partial transpose built entry by entry
+                pt = np.empty_like(st.mat)
+                for i_a, i_b, j_a, j_b in np.ndindex(d, d, d, d):
+                    pt[i_a * d + i_b, j_a * d + j_b] = st.mat[i_a * d + j_b, j_a * d + i_b]
+                expected = min(
+                    np.linalg.eigvalsh(st.mat)[-1], np.abs(np.linalg.eigvalsh(pt)).sum() / d
+                )
+                assert res.f_upper == pytest.approx(expected, abs=1e-12), (d, i)
 
     def test_convergence_tail(self):
         # criterion-7 inputs, among them every one whose search ended
@@ -702,9 +709,10 @@ class TestMsf:
                     assert abs(res.f_value - exact_entangled_fraction_2q(st.mat)) <= 1e-12, i
 
     def test_budget_accounting(self):
-        # a step costs one evaluation per candidate, two per active start
+        # a step costs one evaluation per candidate: two per active start
+        # up to MSF_NEWTON_MAX_DIM, one above it
         starts = 4
-        for d in (2, 3):
+        for d in (2, 3, 4):
             st = random_bipartite(d, d, rng_from_seed(70 + d))
             floor = classify.entangled_overlap_direct(st, np.eye(d))
             for budget in (1, starts, starts + 1, 2 * starts, 2 * starts + 1):
@@ -750,13 +758,6 @@ class TestMsf:
         res = classify.msf(bell_44(), budget=2000, starts=4, rng=rng_from_seed(36))
         d = 2
         assert res.fidelity == (d * res.f_value + 1) / (d + 1)
-
-    def test_one_dimensional(self):
-        # d = 1 has no traceless direction, so the Newton step is empty
-        st = BipartiteState(1, 1, DensityMatrix(np.eye(1)))
-        res = classify.msf(st, budget=40, starts=4, rng=rng_from_seed(38))
-        assert res.f_value == pytest.approx(1.0, abs=1e-12)
-        assert res.converged and res.evals <= 40
 
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):
