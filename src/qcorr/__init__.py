@@ -22,7 +22,6 @@ from .channels import (
     kraus_from_choi,
     unital_mixture,
     unitary_channel,
-    validate_cptp,
 )
 from .classify import (
     ClassificationVerdict,

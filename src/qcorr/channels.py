@@ -44,11 +44,12 @@ class KrausChannel:
 
     Validated to be trace preserving (sum_i E_i^dag E_i = I) unless built
     with trace_preserving=False; only adjoint does so, and the flag is not
-    stored.
+    stored.  Any Kraus list is completely positive: its Choi matrix is a
+    Gram matrix.
     kind/params carry optional constructor metadata for serialization.
     """
 
-    __slots__ = ("dim", "ops", "kind", "params")
+    __slots__ = ("dim", "ops", "kind", "params", "_images")
 
     def __init__(
         self,
@@ -77,6 +78,7 @@ class KrausChannel:
         self.dim = d
         self.kind = kind
         self.params = params or {}
+        self._images = None
 
     def __repr__(self) -> str:
         kind = f", kind={self.kind!r}" if self.kind else ""
@@ -108,14 +110,16 @@ class KrausChannel:
 
         E_ij is the matrix unit |i><j|, and L(E_ij)[a, b] = sum_k
         E_k[a, i] conj(E_k[b, j]): one Gram product of the Kraus columns.
+        Built on the first call; every call returns that one read-only,
+        C-contiguous array (ops is read-only too, so it cannot go stale).
         """
-        d = self.dim
-        cols = self.ops.transpose(2, 1, 0).reshape(d * d, -1)  # cols[(i, a), k] = E_k[a, i]
-        return (cols @ cols.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-
-    def apply_to_identity(self) -> np.ndarray:
-        """L(I) = sum_i E_i E_i^dag (equals I iff the channel is unital)."""
-        return np.einsum("kij,klj->il", self.ops, self.ops.conj())
+        if self._images is None:
+            d = self.dim
+            cols = self.ops.transpose(2, 1, 0).reshape(d * d, -1)  # cols[(i, a), k] = E_k[a, i]
+            images = (cols @ cols.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+            self._images = np.ascontiguousarray(images)
+            self._images.setflags(write=False)
+        return self._images
 
     def adjoint(self) -> "KrausChannel":
         """The adjoint map with Kraus {E_i^dag}: Tr(A L(B)) = Tr(L*(A) B).
@@ -129,15 +133,6 @@ class KrausChannel:
             params={"of": self.kind or "raw"},
             trace_preserving=False,
         )
-
-
-def validate_cptp(ops: Sequence[np.ndarray]) -> KrausChannel:
-    """Validate a raw Kraus list: trace preservation plus Choi positivity."""
-    ch = KrausChannel(ops, kind="raw")
-    wmin = float(linalg.hermitian_eig(choi_matrix(ch)).eigenvalues[0])
-    if wmin < -CHOI_PSD_ATOL:
-        raise ValueError(f"Choi matrix has eigenvalue {wmin:.3e} < -{CHOI_PSD_ATOL:.0e}")
-    return ch
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:

@@ -507,9 +507,20 @@ def block_overlap_enables_creation(
 # ---------------------------------------------------------------------------
 
 
+def _images(channel: chn.KrausChannel, m: np.ndarray) -> np.ndarray:
+    """L(m) for a (d, d) matrix or a (k, d, d) stack, read off the unit images.
+
+    L(m) = sum_ij m[i, j] L(E_ij), so it is one product of the flattened
+    matrices with channel.unit_images() as a (d^2, d^2) matrix.
+    """
+    n = channel.dim**2
+    return (m.reshape(-1, n) @ channel.unit_images().reshape(n, n)).reshape(m.shape)
+
+
 def is_unital(channel: chn.KrausChannel, tol: float = CP_TOL) -> bool:
     """||L(I) - I||_F <= tol, by default the decision tolerance CP_TOL."""
-    return linalg.frobenius(channel.apply_to_identity() - np.eye(channel.dim)) <= tol
+    eye = np.eye(channel.dim)
+    return linalg.frobenius(_images(channel, eye) - eye) <= tol
 
 
 def is_mixing_sampled(
@@ -566,7 +577,7 @@ def find_decohering_basis(
     for every rho by linearity.  Returns None otherwise.
     """
     skip = 1e-12
-    outs = kernels.apply_kraus(channel.ops, hermitian_basis(channel.dim))
+    outs = _images(channel, hermitian_basis(channel.dim))
     worst, _ = linalg.worst_commutation_defect(outs, skip=skip, stop=tol)
     if worst > tol:
         return None

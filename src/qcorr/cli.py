@@ -271,11 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         result, lines, code = _COMMANDS[args.command](args)
+        _emit(_envelope(args, result, t0), args, lines)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _envelope(args, result, t0)
-    _emit(report, args, lines)
     return code
 
 

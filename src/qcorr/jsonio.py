@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import KrausChannel, validate_cptp
+from .channels import KrausChannel
 from .classify import (
     ClassificationVerdict,
     CPVerdict,
@@ -25,7 +25,7 @@ from .classify import (
     MsfResult,
     ScanReport,
 )
-from .states import BipartiteState, ClassicalityReport, DensityMatrix
+from .states import BipartiteState, DensityMatrix
 
 CHOI_CONVENTION = (
     "J = (channel x id)(|Phi+><Phi+|) with |Phi+> = d^{-1/2} sum_i |ii>, unit trace; "
@@ -102,7 +102,7 @@ def _object_field(obj: dict, key: str) -> dict:
 
 
 def channel_from_json(obj: Any) -> KrausChannel:
-    """A validated CPTP channel: trace preserving with a PSD Choi matrix."""
+    """A channel from its Kraus list, checked to be finite and trace preserving."""
     if not isinstance(obj, dict) or "dim" not in obj or "kraus" not in obj:
         raise ValueError("channel JSON must have 'dim' and 'kraus' fields")
     dim = _int_field(obj, "dim")
@@ -112,8 +112,7 @@ def channel_from_json(obj: Any) -> KrausChannel:
     if any(e.shape != (dim, dim) for e in ops):
         raise ValueError("Kraus matrices do not match the declared dimension")
     meta = _object_field(obj, "meta")
-    ch = validate_cptp(ops)
-    return KrausChannel(ch.ops, kind=meta.get("kind"), params=_object_field(meta, "params"))
+    return KrausChannel(ops, kind=meta.get("kind"), params=_object_field(meta, "params"))
 
 
 def state_to_json(state: BipartiteState) -> dict:
@@ -237,15 +236,6 @@ def scan_to_json(report: ScanReport) -> dict:
             }
             for r in report.anomalies
         ],
-    }
-
-
-def classicality_to_json(rep: ClassicalityReport) -> dict:
-    return {
-        "is_classical_on_B": rep.is_classical_on_b,
-        "quantumness": rep.quantumness,
-        "worst_pair": rep.worst_pair,
-        "witness_basis": None if rep.witness_basis is None else matrix_to_json(rep.witness_basis),
     }
 
 

@@ -109,6 +109,8 @@ class BipartiteState:
     __slots__ = ("dim_a", "dim_b", "joint")
 
     def __init__(self, dim_a: int, dim_b: int, joint: DensityMatrix | np.ndarray):
+        if dim_a < 1 or dim_b < 1:
+            raise ValueError(f"local dimensions must be >= 1, got {dim_a} x {dim_b}")
         if not isinstance(joint, DensityMatrix):
             joint = DensityMatrix(joint)
         if joint.dim != dim_a * dim_b:

@@ -28,17 +28,17 @@ def example_block_channel() -> chn.KrausChannel:
 
 class TestValidation:
     def test_identity_valid(self):
-        ch = chn.validate_cptp([np.eye(2)])
+        ch = chn.KrausChannel([np.eye(2)])
         assert ch.dim == 2
 
     def test_subnormalized_rejected(self):
         with pytest.raises(ValueError, match="trace preserving"):
-            chn.validate_cptp([SX / np.sqrt(2)])
+            chn.KrausChannel([SX / np.sqrt(2)])
 
     def test_random_sampler_consistent(self, rng):
         for d in (2, 3, 4):
             ch = random_cptp(d, rng)
-            chn.validate_cptp(list(ch.ops))
+            chn.KrausChannel(list(ch.ops))
 
     def test_trace_preserved_on_samples(self, rng):
         ch = random_cptp(3, rng)
@@ -79,6 +79,13 @@ class TestApply:
                 e = np.zeros((d, d), dtype=complex)
                 e[i, j] = 1.0
                 assert linalg.frobenius(images[i, j] - ch.apply_matrix(e)) < 1e-12
+
+    def test_unit_images_built_once_and_read_only(self, rng):
+        ch = random_cptp(3, rng)
+        images = ch.unit_images()
+        assert ch.unit_images() is images
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0, 0, 0] = 1.0
 
 
 class TestApplyLocalB:
@@ -122,7 +129,7 @@ class TestAdjoint:
         d = ch.dim
         tp = np.einsum("kji,kjl->il", adj.ops.conj(), adj.ops)
         assert linalg.frobenius(tp - np.eye(d)) < 1e-12
-        assert linalg.frobenius(adj.apply_to_identity() - np.eye(d)) < 1e-12
+        assert linalg.frobenius(adj.apply_matrix(np.eye(d)) - np.eye(d)) < 1e-12
 
     def test_duality_identity(self, rng):
         ch = random_cptp(3, rng)
@@ -256,7 +263,7 @@ class TestUnitalMixture:
 
     def test_phase_flip(self, rng):
         ch = chn.unital_mixture([0.5, 0.5], [np.eye(2), SZ])
-        assert linalg.frobenius(ch.apply_to_identity() - np.eye(2)) < 1e-12
+        assert linalg.frobenius(ch.apply_matrix(np.eye(2)) - np.eye(2)) < 1e-12
         rho = random_density(2, rng).mat
         out = ch.apply_matrix(rho)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -280,7 +287,7 @@ class TestBlockUnitaryMixture:
         for _ in range(5):
             e = np.sqrt(rng.dirichlet(np.ones(3)))
             ch = chn.block_unitary_mixture(e, [haar_unitary(2, rng) for _ in range(3)])
-            assert linalg.frobenius(ch.apply_to_identity() - np.eye(3)) < 1e-10
+            assert linalg.frobenius(ch.apply_matrix(np.eye(3)) - np.eye(3)) < 1e-10
 
     def test_single_identity_block_dephases_block_vs_top(self, rng):
         ch = chn.block_unitary_mixture([1.0], [np.eye(2)])

@@ -429,7 +429,7 @@ class TestStructureDetectors:
             kind="reset",
         )
         assert not classify.is_unital(reset)
-        assert np.allclose(reset.apply_to_identity(), np.diag([2.0, 0.0]))
+        assert np.allclose(reset.apply_matrix(np.eye(2)), np.diag([2.0, 0.0]))
 
     def test_mixing_matches_unitality(self, rng):
         cases = [
@@ -484,8 +484,13 @@ class TestStructureDetectors:
         if d >= 3:
             cases.append(random_block_unitary_mixture(d, rng))
         tol = classify.CP_TOL
+        eye = np.eye(d)
         for ch in cases:
             images = [ch.apply_matrix(h) for h in classify.hermitian_basis(d)]
+            # is_unital and the detector read their images off unit_images()
+            assert np.abs(classify._images(ch, eye) - ch.apply_matrix(eye)).max() <= 1e-14
+            read = classify._images(ch, classify.hermitian_basis(d))
+            assert np.abs(read - np.array(images)).max() <= 1e-14
             worst, _ = pairwise_worst_defect(images, skip=1e-12)
             found = classify.find_decohering_basis(ch, tol)
             assert (found is not None) == (worst <= tol), ch

@@ -135,9 +135,10 @@ class TestMalformedJson:
                           "meta": {"kind": "identity", "params": [1]}}),
             ("msf", {**_bell_state_json(), "dimA": None}),
             ("msf", {**_bell_state_json(), "dimB": 2.0}),
+            ("msf", {**_bell_state_json(), "dimA": -2, "dimB": -2}),
         ],
         ids=["kraus-not-list", "dim-null", "dim-float", "dim-bool", "meta-not-object",
-             "params-not-object", "dimA-null", "dimB-float"],
+             "params-not-object", "dimA-null", "dimB-float", "dims-negative"],
     )
     def test_exit_2(self, files, capsys, command, obj):
         _, write = files
@@ -146,6 +147,21 @@ class TestMalformedJson:
         code, _, err = run(capsys, [command, flag, path, "--seed", "1"])
         assert code == 2
         assert "error:" in err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_exit_2(self, files, capsys, fmt, target):
+        tmp, write = files
+        path = write("id.json", jsonio.channel_to_json(chn.identity_channel(2)))
+        out = tmp if target == "directory" else tmp / "missing" / "report.out"
+        code, stdout, err = run(
+            capsys, ["classify", "--channel", path, "--format", fmt, "--out", str(out)]
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert stdout == ""
 
 
 class TestWitnessCommand:

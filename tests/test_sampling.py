@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcorr import linalg
-from qcorr.channels import choi_matrix, validate_cptp
+from qcorr.channels import KrausChannel, choi_matrix
 from qcorr.sampling import (
     haar_unitary,
     random_commuting_pair,
@@ -69,7 +69,7 @@ class TestRandomCptp:
 
     def test_validates(self, rng):
         for d in (2, 3, 4):
-            validate_cptp(list(random_cptp(d, rng).ops))
+            KrausChannel(list(random_cptp(d, rng).ops))
 
     def test_full_env_gives_full_choi_rank(self, rng):
         ranks = []
