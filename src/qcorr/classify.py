@@ -189,10 +189,13 @@ def is_commutativity_preserving(
     budget.
     tol must be finite and positive: a zero, negative or NaN tol would turn
     rounding noise into a "proof" of creation, and an infinite one would
-    certify every channel.
+    certify every channel.  budget must be at least 1, because a search
+    evaluates at least one pair.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     d = channel.dim
     if d < 2:
         return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True)
@@ -265,7 +268,7 @@ def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.nda
     random, so the result depends on the channel, budget and tol alone.
     """
     d = kraus.shape[1]
-    n = max(1, min(DEFAULT_STARTS, budget))
+    n = min(DEFAULT_STARTS, budget)
     frames = screen_frames(d, n).copy()
     f, grad = kernels.pair_violation_grad(frames, kraus)
     evals = n
@@ -449,13 +452,9 @@ def witness_from_pair(
     psi = check_ket(psi)
     if abs(np.vdot(phi, psi)) > ORTHO_ATOL:
         raise ValueError("witness pair must be orthogonal")
-    e0 = np.zeros(2)
-    e0[0] = 1
-    e1 = np.zeros(2)
-    e1[1] = 1
     state = make_half_classical(
         [0.5, 0.5],
-        [DensityMatrix.pure(e0), DensityMatrix.pure(e1)],
+        [DensityMatrix.pure(e) for e in np.eye(2)],
         np.column_stack([phi, psi]),
     )
     out = channel.apply_local_b(state)
@@ -889,9 +888,12 @@ def msf(
     together as one batch.  A start leaves the batch once a step gains at
     most MSF_STEP_TOL.  budget caps the evaluations summed over starts, one
     per candidate: when it runs short, the polar candidates come first.
+    budget and starts must be at least 1, because start 0 is always evaluated.
     """
     if state.dim_a != state.dim_b:
         raise ValueError("maximal entangled fraction needs equal local dimensions")
+    if budget < 1 or starts < 1:
+        raise ValueError(f"budget and starts must be at least 1, got {budget!r} and {starts!r}")
     d = state.dim_a
     n = d * d
     # f(U) = sum conj(U[a, i]) rho[(i, a), (j, b)] U[b, j] / d
@@ -901,7 +903,7 @@ def msf(
         g = (u.reshape(-1, n) @ m_t).reshape(u.shape)
         return g, np.einsum("kai,kai->k", u.conj(), g).real
 
-    n_starts = max(1, min(starts, budget))
+    n_starts = min(starts, budget)
     u = np.empty((n_starts, d, d), dtype=complex)
     u[0] = np.eye(d)
     for s in range(1, n_starts):
@@ -1106,6 +1108,8 @@ def scan_channels(
         raise ValueError("scan needs dimension >= 2")
     if families is None:
         families = tuple(f for f in SCAN_FAMILIES if f != "block_unitary_mixture" or dim >= 3)
+    if not families:
+        raise ValueError("scan needs at least one channel family")
     tasks = [
         (dim, seed, i, families[i % len(families)], budget, tol)
         for i in range(n_channels)

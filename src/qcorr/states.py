@@ -135,13 +135,11 @@ class ClassicalityReport:
     over the B-side blocks; it vanishes exactly on classical-on-B states and
     is invariant under local unitaries on B.  worst_pair gives the block
     indices (k, l), (m, n) achieving the maximum ((k, l) twice for a
-    normality defect).  witness_basis holds a diagonalizing B basis when the
-    state is classical.
+    normality defect).
     """
 
     is_classical_on_b: bool
     quantumness: float
-    witness_basis: np.ndarray | None
     worst_pair: tuple[tuple[int, int], tuple[int, int]] | None
 
 
@@ -171,10 +169,11 @@ def make_half_classical(
     dim_a = rhos[0].dim
     if any(r.dim != dim_a for r in rhos):
         raise ValueError("conditional A states must share one dimension")
-    joint = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for pi, rho, ket in zip(p, rhos, basis.T):
-        joint += pi * linalg.tensor(rho.mat, np.outer(ket, ket.conj()))
-    return BipartiteState(dim_a, dim_b, DensityMatrix(joint))
+    cond = np.stack([r.mat for r in rhos])
+    # joint[(k, a), (l, b)] = sum_i p_i cond_i[k, l] b_i[a] conj(b_i[b])
+    joint = np.einsum("i,ikl,ai,bi->kalb", p, cond, basis, basis.conj())
+    n = dim_a * dim_b
+    return BipartiteState(dim_a, dim_b, DensityMatrix(joint.reshape(n, n)))
 
 
 def block_decompose(state: BipartiteState) -> np.ndarray:
@@ -197,29 +196,18 @@ def is_classical_on_b(state: BipartiteState) -> ClassicalityReport:
     """Test whether a bipartite state is classical on B.
 
     Classical iff every block C_kl is normal and all pairs commute within
-    CLASSICALITY_TOL (normalized defects).  On success the common
-    eigenbasis of the blocks is returned as the non-disturbing measurement
-    basis.
+    CLASSICALITY_TOL (normalized defects).  Only the defect is computed: a
+    caller that needs the non-disturbing measurement basis diagonalizes the
+    blocks jointly (linalg has the routine).
     """
     da, db = state.dim_a, state.dim_b
     # flat[k * da + l] = C_kl
     flat = block_decompose(state).reshape(da * da, db, db)
-    skip = 1e-14
-    worst, pair = linalg.worst_commutation_defect(flat, skip=skip)
-    worst_pair = None if pair is None else (divmod(pair[0], da), divmod(pair[1], da))
-
-    classical = worst <= CLASSICALITY_TOL
-    basis = None
-    if classical:
-        members = flat[np.linalg.norm(flat, axis=(1, 2)) > skip]
-        # Blocks are normal and commuting here, so a common basis exists;
-        # widen the verification tolerance to what we just certified.
-        basis = linalg.simultaneous_diagonalization(members, tol=max(CLASSICALITY_TOL, 10 * worst))
+    worst, pair = linalg.worst_commutation_defect(flat, skip=1e-14)
     return ClassicalityReport(
-        is_classical_on_b=classical,
+        is_classical_on_b=worst <= CLASSICALITY_TOL,
         quantumness=worst,
-        witness_basis=basis,
-        worst_pair=worst_pair,
+        worst_pair=None if pair is None else (divmod(pair[0], da), divmod(pair[1], da)),
     )
 
 

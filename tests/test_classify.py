@@ -62,6 +62,11 @@ class TestCommutativityPreserving:
         with pytest.raises(ValueError, match="tol"):
             classify.is_commutativity_preserving(chn.depolarizing(2, 0.3), tol=tol)
 
+    def test_rejects_zero_budget(self):
+        # evals is at most budget, and a search evaluates at least one pair
+        with pytest.raises(ValueError, match="budget"):
+            classify.is_commutativity_preserving(random_cptp(2, rng_from_seed(3)), budget=0)
+
     def test_isotropic_preserves(self, rng):
         ch = random_isotropic(3, rng)
         verdict = classify.is_commutativity_preserving(ch)
@@ -367,6 +372,33 @@ class TestCreationWitness:
             classify.witness_from_pair(chn.identity_channel(3), e0, e0)
 
 
+class TestNoCommonBasisOnStatePath:
+    """Classicality verdicts and witnesses never diagonalize the blocks."""
+
+    @pytest.fixture
+    def no_simdiag(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("simultaneous_diagonalization called")
+
+        monkeypatch.setattr(linalg, "simultaneous_diagonalization", fail)
+
+    def test_state_path_runs_without_it(self, no_simdiag):
+        from qcorr import jsonio
+        from qcorr.sampling import random_half_classical
+
+        rng = rng_from_seed(71)
+        assert is_classical_on_b(random_half_classical(2, 3, rng)).is_classical_on_b
+        w = search_witness(random_cptp(3, rng))
+        assert w is not None and w.confirmed
+        back = jsonio.witness_from_json(jsonio.witness_to_json(w))
+        assert back.output_quantumness == pytest.approx(w.output_quantumness, rel=1e-12)
+
+    def test_decohering_detector_still_calls_it(self, no_simdiag):
+        ch = random_completely_decohering(3, rng_from_seed(72))
+        with pytest.raises(RuntimeError, match="simultaneous_diagonalization"):
+            classify.find_decohering_basis(ch)
+
+
 class TestBlockOverlapCriterion:
     # the channel fixing |2> and mixing block unitaries creates correlation
     # from an orthogonal pair iff the reduced vectors are neither orthogonal
@@ -646,6 +678,11 @@ class TestMsf:
         assert res.f_value == pytest.approx(1.0, abs=1e-9)
         assert res.fidelity == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kw", [{"budget": 0}, {"starts": 0}])
+    def test_rejects_zero_budget_or_starts(self, kw):
+        with pytest.raises(ValueError, match="at least 1"):
+            classify.msf(bell_44(), rng=rng_from_seed(28), **kw)
+
     def test_maximally_mixed(self):
         st = BipartiteState(2, 2, DensityMatrix.maximally_mixed(4))
         res = classify.msf(st, budget=4000, starts=8, rng=rng_from_seed(29))
@@ -817,6 +854,10 @@ class TestScan:
         assert not report.anomalies
         # at d=2 unital mixtures preserve commutativity
         assert report.family_counts["unital_mixture"]["cp_pass"] == 2
+
+    def test_rejects_empty_families(self):
+        with pytest.raises(ValueError, match="family"):
+            classify.scan_channels(3, 2, seed=41, families=())
 
     def test_rows_reproducible(self):
         a = classify.scan_channels(3, 6, seed=43, budget=4000)

@@ -36,6 +36,12 @@ def bell_state() -> BipartiteState:
     return BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
 
 
+def common_basis(st: BipartiteState) -> np.ndarray:
+    """The B basis that diagonalizes every block of a classical-on-B state."""
+    db = st.dim_b
+    return linalg.simultaneous_diagonalization(block_decompose(st).reshape(-1, db, db))
+
+
 class TestDensityMatrix:
     def test_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
@@ -90,6 +96,22 @@ class TestMakeHalfClassical:
         with pytest.raises(ValueError, match="orthonormal"):
             make_half_classical([0.5, 0.5], [DensityMatrix.pure(E0)] * 2, basis)
 
+    @pytest.mark.parametrize("da, db, terms", [(2, 3, 2), (3, 4, 4), (1, 2, 1)])
+    def test_matches_kron_sum(self, da, db, terms):
+        # reference: sum_i p_i rho_i (x) |b_i><b_i| term by term with np.kron
+        rng = rng_from_seed(60 + 10 * da + db)
+        p = rng.dirichlet(np.ones(terms))
+        rhos = [random_density(da, rng) for _ in range(terms)]
+        # raw arrays and DensityMatrix objects mixed
+        cond = [r.mat.copy() if i % 2 else r for i, r in enumerate(rhos)]
+        basis = haar_unitary(db, rng)[:, :terms]
+        ref = sum(
+            pi * np.kron(r.mat, np.outer(b, b.conj())) for pi, r, b in zip(p, rhos, basis.T)
+        )
+        st = make_half_classical(p, cond, basis)
+        assert (st.dim_a, st.dim_b) == (da, db)
+        assert np.max(np.abs(st.mat - ref)) <= 1e-14
+
     def test_round_trip_bulk(self):
         # constructor output always passes the detector
         rng = rng_from_seed(21)
@@ -100,7 +122,8 @@ class TestMakeHalfClassical:
             rep = is_classical_on_b(st)
             assert rep.is_classical_on_b
             assert rep.quantumness <= 1e-10
-            assert rep.witness_basis is not None
+            # the routine returns only a basis it has verified diagonal
+            assert common_basis(st).shape == (db, db)
 
 
 class TestBlockDecompose:
@@ -203,9 +226,9 @@ class TestClassicalityDetector:
 
     def test_witness_basis_diagonalizes_blocks(self, rng):
         st = random_half_classical(2, 3, rng)
-        rep = is_classical_on_b(st)
+        assert is_classical_on_b(st).is_classical_on_b
         blocks = block_decompose(st)
-        v = rep.witness_basis
+        v = common_basis(st)
         for k in range(2):
             for l in range(2):
                 t = v.conj().T @ blocks[k, l] @ v
@@ -215,8 +238,7 @@ class TestClassicalityDetector:
 class TestMeasureAndDephase:
     def test_own_basis_is_fixed_point(self, rng):
         st = random_half_classical(2, 3, rng)
-        basis = is_classical_on_b(st).witness_basis
-        out = measure_and_dephase(st, basis)
+        out = measure_and_dephase(st, common_basis(st))
         assert linalg.frobenius(out.mat - st.mat) < 1e-10
 
     def test_bell_state_dephased(self):
