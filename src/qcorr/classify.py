@@ -36,7 +36,7 @@ from . import kernels, linalg
 # goes with optimize.py once the benchmark drops that lookup.
 from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, maximize_unitary_objective  # noqa: F401
 from .sampling import (
-    haar_unitary,
+    haar_unitaries,
     random_block_unitary_mixture,
     random_completely_decohering,
     random_cptp,
@@ -249,8 +249,7 @@ def screen_frames(d: int, n: int) -> np.ndarray:
         rng = rng_from_seed(SCREEN_SEED)
         frames = np.empty((max(n, DEFAULT_STARTS), d, 2), dtype=complex)
         frames[0] = np.eye(d)[:, :2]
-        for i in range(1, len(frames)):
-            frames[i] = haar_unitary(d, rng)[:, :2]
+        frames[1:] = haar_unitaries(d, len(frames) - 1, rng)[:, :, :2]
         frames.setflags(write=False)
         _SCREENS[d] = frames
     return frames[:n]
@@ -810,11 +809,13 @@ class MsfResult:
 
     fidelity is the average-teleportation value (d F + 1)/(d + 1).  F is a
     lower bound on the true maximum: the overlap at the best unitary found,
-    never below the overlap at U = I.  f_upper = min(lambda_max(rho),
-    ||rho^T_B||_1 / d) is an upper bound on it: <Phi_U|rho|Phi_U> =
-    tr(rho^T_B Phi_U^T_B) and ||Phi_U^T_B||_inf = 1/d.  converged says
-    every start met the stopping rule (a step gaining at most MSF_STEP_TOL)
-    within the budget.  evals counts objective-and-gradient evaluations
+    never below the overlap at U = I.  f_upper is entangled_fraction_upper:
+    the exact maximum at d = 2, and an upper bound on it above.  converged
+    says the search stopped by its own rule within the budget: either the
+    bracket closed (the best start came within MSF_STEP_TOL of f_upper,
+    which at d >= 3 happens only where the bound is tight, as on pure
+    states) or every start met the stopping rule (a step gaining at most
+    MSF_STEP_TOL).  evals counts objective-and-gradient evaluations
     summed over starts, one per candidate: two per active start per step
     (the polar and the Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one
     above.  iterations counts the steps of the longest-running start.
@@ -884,9 +885,13 @@ def msf(
     with saddle escape (_newton_candidates), which converges quadratically
     near a maximum, and keeps the better of the two.  A step that would
     lower f is not taken.
-    Start 0 is U = I; the others are Haar draws, and all starts step
-    together as one batch.  A start leaves the batch once a step gains at
-    most MSF_STEP_TOL.  budget caps the evaluations summed over starts, one
+    Start 0 is U = I; the others are Haar draws (one haar_unitaries stack),
+    and all starts step together as one batch.  A start leaves the batch
+    once a step gains at most MSF_STEP_TOL, and the whole ascent ends,
+    every start counted converged, once the bracket closes: the best start
+    is within MSF_STEP_TOL of f_upper = entangled_fraction_upper(state).
+    f_upper is exact at d = 2, so there the ascent stops as soon as a start
+    reaches the maximum.  budget caps the evaluations summed over starts, one
     per candidate: when it runs short, the polar candidates come first.
     budget and starts must be at least 1, because start 0 is always evaluated.
     """
@@ -903,18 +908,19 @@ def msf(
         g = (u.reshape(-1, n) @ m_t).reshape(u.shape)
         return g, np.einsum("kai,kai->k", u.conj(), g).real
 
+    f_upper = entangled_fraction_upper(state)
     n_starts = min(starts, budget)
     u = np.empty((n_starts, d, d), dtype=complex)
     u[0] = np.eye(d)
-    for s in range(1, n_starts):
-        u[s] = haar_unitary(d, rng)
+    u[1:] = haar_unitaries(d, n_starts - 1, rng)
     g, f = grad_and_value(u)
     evals = n_starts
     iterations = 0
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
     use_newton = d <= MSF_NEWTON_MAX_DIM
-    while active.size and evals < budget:
+    closed = f.max() >= f_upper - MSF_STEP_TOL
+    while active.size and evals < budget and not closed:
         active = active[: budget - evals]
         n_newton = min(active.size, budget - evals - active.size) if use_newton else 0
         w, _, vh = np.linalg.svd(g[active])
@@ -937,6 +943,7 @@ def msf(
         done = gain <= MSF_STEP_TOL
         converged[active[done]] = True
         active = active[~done]
+        closed = f.max() >= f_upper - MSF_STEP_TOL
 
     best = u[int(np.argmax(f))]
     f_value = entangled_overlap_direct(state, best)
@@ -945,15 +952,28 @@ def msf(
         fidelity=(d * f_value + 1) / (d + 1),
         unitary=best,
         evals=evals,
-        converged=bool(converged.all()),
+        converged=bool(closed or converged.all()),
         iterations=iterations,
-        f_upper=entangled_fraction_upper(state),
+        f_upper=f_upper,
     )
 
 
 def entangled_fraction_upper(state: BipartiteState) -> float:
-    """min(lambda_max(rho), ||rho^T_B||_1 / d), an upper bound on F."""
+    """An upper bound on F, exact at d = 2.
+
+    At d = 2 it is F itself, lambda_max(Re(M^dag rho M)) with M the magic
+    basis (Bennett, DiVincenzo, Smolin and Wootters, PRA 54, 3824 (1996)):
+    the maximally entangled states are a phase times a real unit vector r
+    in that basis, so F = max_r r^T Re(M^dag rho M) r.  For d >= 3 it is
+    min(lambda_max(rho), ||rho^T_B||_1 / d): <Phi_U|rho|Phi_U> =
+    tr(rho^T_B Phi_U^T_B) and ||Phi_U^T_B||_inf = 1/d.
+    """
     d = state.dim_a
+    if d == 2:
+        magic = np.array(
+            [[1, 0, 0, 1], [-1j, 0, 0, 1j], [0, 1, -1, 0], [0, -1j, -1j, 0]]
+        ).T / np.sqrt(2)
+        return float(np.linalg.eigvalsh((magic.conj().T @ state.mat @ magic).real)[-1])
     pt = state.mat.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
     top = np.linalg.eigvalsh(state.mat)[-1]
     return float(min(top, np.abs(np.linalg.eigvalsh(pt)).sum() / d))

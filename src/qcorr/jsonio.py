@@ -200,6 +200,7 @@ def msf_to_json(r: MsfResult) -> dict:
         "fidelity": r.fidelity,
         "unitary": matrix_to_json(r.unitary),
         "evals": r.evals,
+        "iterations": r.iterations,
         "converged": r.converged,
     }
 

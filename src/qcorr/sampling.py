@@ -38,12 +38,24 @@ def ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2)
 
 
+def haar_unitaries(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-distributed unitaries as a (k, d, d) stack, from one stacked QR.
+
+    The normals are drawn as one (k, 2, d, d) array, real then imaginary
+    part per unitary, which is the order in which k haar_unitary calls draw
+    them: the stack equals those k calls bit for bit and leaves rng in the
+    same state.
+    """
+    z = rng.standard_normal((k, 2, d, d))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
+    ph = np.diagonal(r, axis1=1, axis2=2).copy()
+    ph /= np.abs(ph)
+    return q * ph[:, None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with phases fixed."""
-    q, r = np.linalg.qr(ginibre(d, d, rng))
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def random_ket(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,7 +167,7 @@ def random_unital_mixture(
     if n_unitaries < 2:
         raise ValueError("a generic mixture needs at least two unitaries")
     w = random_probability(n_unitaries, rng, min_weight=min_weight)
-    return ch.unital_mixture(w, [haar_unitary(d, rng) for _ in range(n_unitaries)])
+    return ch.unital_mixture(w, haar_unitaries(d, n_unitaries, rng))
 
 
 def random_block_unitary_mixture(
@@ -165,7 +177,7 @@ def random_block_unitary_mixture(
     if d < 3:
         raise ValueError("block mixtures need dimension >= 3")
     w = random_probability(n_blocks, rng, min_weight=min_weight)
-    return ch.block_unitary_mixture(np.sqrt(w), [haar_unitary(d - 1, rng) for _ in range(n_blocks)])
+    return ch.block_unitary_mixture(np.sqrt(w), haar_unitaries(d - 1, n_blocks, rng))
 
 
 def random_half_classical(

@@ -16,6 +16,7 @@ import numpy as np
 from . import channels as chn
 from . import linalg
 from .sampling import (
+    haar_unitaries,
     haar_unitary,
     random_commuting_pair,
     random_cptp,
@@ -164,5 +165,12 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
     x = substream(seed, 3).standard_normal(16)
     y = substream(seed, 3).standard_normal(16)
     record("sampling", "substream_determinism", bool(np.all(x == y)), "identical draws from equal substreams")
+
+    single_rng = substream(seed, 4)
+    single = [haar_unitary(3, single_rng) for _ in range(5)]
+    batch_rng = substream(seed, 4)
+    batch = haar_unitaries(3, 5, batch_rng)
+    same = np.array_equal(batch, single) and single_rng.standard_normal() == batch_rng.standard_normal()
+    record("sampling", "haar_batch_matches_single", same, "equal substreams give the same unitaries one at a time and stacked")
 
     return SelftestReport(tuple(checks))

@@ -238,6 +238,12 @@ class TestSearchFrames:
         assert np.array_equal(classify.screen_frames(d, 5), frames[:5])
         assert np.array_equal(classify.screen_frames(d, 40)[: len(frames)], frames)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_screen_frames_match_sequential_haar_draws(self, d):
+        rng = rng_from_seed(classify.SCREEN_SEED)
+        expected = [np.eye(d)[:, :2]] + [haar_unitary(d, rng)[:, :2] for _ in range(31)]
+        assert np.array_equal(classify.screen_frames(d, 32), np.array(expected))
+
     @pytest.mark.parametrize(
         "make",
         [lambda r: random_cptp(2, r), lambda r: random_cptp(4, r),
@@ -725,10 +731,30 @@ class TestMsf:
                 pt = np.empty_like(st.mat)
                 for i_a, i_b, j_a, j_b in np.ndindex(d, d, d, d):
                     pt[i_a * d + i_b, j_a * d + j_b] = st.mat[i_a * d + j_b, j_a * d + i_b]
-                expected = min(
+                generic = min(
                     np.linalg.eigvalsh(st.mat)[-1], np.abs(np.linalg.eigvalsh(pt)).sum() / d
                 )
-                assert res.f_upper == pytest.approx(expected, abs=1e-12), (d, i)
+                if d == 2:
+                    # exact at d = 2, so never above the generic bound
+                    exact = exact_entangled_fraction_2q(st.mat)
+                    assert res.f_upper == pytest.approx(exact, abs=1e-12), (d, i)
+                    assert res.f_upper <= generic + 1e-12, (d, i)
+                else:
+                    assert res.f_upper == pytest.approx(generic, abs=1e-12), (d, i)
+
+    def test_two_qubit_bracket_closes(self):
+        # f_upper is the magic-basis value, and the ascent stops on reaching it
+        for i in range(20):
+            st = random_bipartite(2, 2, substream(0xC2, 2 * i))
+            res = classify.msf(st, budget=6000, starts=12, rng=substream(0xC2, 2 * i + 1))
+            pt = st.mat.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            generic = min(
+                np.linalg.eigvalsh(st.mat)[-1], np.abs(np.linalg.eigvalsh(pt)).sum() / 2
+            )
+            assert abs(res.f_upper - exact_entangled_fraction_2q(st.mat)) <= 1e-12, i
+            assert res.f_upper <= generic + 1e-12, i
+            assert abs(res.f_value - res.f_upper) <= 1e-12, i
+            assert res.converged, i
 
     def test_convergence_tail(self):
         # criterion-7 inputs, among them every one whose search ended

@@ -214,6 +214,18 @@ class TestMsfCommand:
         assert report["result"]["msf"]["F_upper"] == pytest.approx(1.0, abs=1e-12)
         assert report["result"]["msf"]["converged"] is True
 
+    def test_bell_state_bracket_closed_at_start(self, files, capsys):
+        # U = I already attains the exact two-qubit bound, so no step is taken
+        _, write = files
+        bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
+        path = write("bell.json", jsonio.state_to_json(bell))
+        code, out, _ = run(capsys, ["msf", "--in", path, "--seed", "5", "--format", "json"])
+        assert code == 0
+        res = json.loads(out)["result"]["msf"]
+        assert res["iterations"] == 0
+        assert res["F_upper"] == res["F"]
+        assert res["converged"] is True
+
     def test_bell_with_depolarizing_closed_form(self, files, capsys):
         _, write = files
         bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qcorr import linalg
 from qcorr.channels import KrausChannel, choi_matrix
 from qcorr.sampling import (
+    ginibre,
+    haar_unitaries,
     haar_unitary,
     random_commuting_pair,
     random_cptp,
@@ -35,6 +39,35 @@ class TestHaarUnitary:
         a = haar_unitary(4, rng_from_seed(9))
         b = haar_unitary(4, rng_from_seed(9))
         assert np.array_equal(a, b)
+
+
+class TestHaarUnitaries:
+    @staticmethod
+    def reference_draw(d, rng):
+        # the per-matrix construction: one Ginibre matrix, one QR, phases fixed
+        q, r = np.linalg.qr(ginibre(d, d, rng))
+        ph = np.diag(r) / np.abs(np.diag(r))
+        return q * ph
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_stack_equals_sequential_draws(self, d):
+        for k, seed in itertools.product((1, 2, 11, 23), range(3)):
+            stacked_rng, single_rng = rng_from_seed(seed), rng_from_seed(seed)
+            stack = haar_unitaries(d, k, stacked_rng)
+            single = np.array([self.reference_draw(d, single_rng) for _ in range(k)])
+            assert stack.shape == (k, d, d)
+            assert np.array_equal(stack, single), (k, seed)
+            assert np.array_equal(haar_unitary(d, rng_from_seed(seed)), single[0]), (k, seed)
+            # the generator is left in the same state: the next draws agree
+            assert np.array_equal(
+                stacked_rng.standard_normal(8), single_rng.standard_normal(8)
+            ), (k, seed)
+
+    def test_zero_draws(self):
+        rng = rng_from_seed(3)
+        stack = haar_unitaries(3, 0, rng)
+        assert stack.shape == (0, 3, 3)
+        assert rng.standard_normal() == rng_from_seed(3).standard_normal()
 
 
 class TestRandomDensity:
