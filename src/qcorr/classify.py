@@ -83,9 +83,12 @@ class CPVerdict:
     verdict that is a proof: every creator, and a pass whose upper_bound is
     at most tol.  evals counts pair evaluations, at most budget: the
     screened pairs plus one per polished frame per ascent step.  A
-    certified pass ran no search, so its evals is 0.  The search screens a
-    fixed sequence of pairs, so every field is a function of the channel,
-    budget and tol alone.
+    certified pass ran no search, so its evals is 0.  band says which phase
+    the search ran: True when the screened maximum was below max(100 tol,
+    1e-3) and the best PAIR_BAND_FRAMES screened pairs climbed together,
+    False when the winner alone was polished or no search ran.  The search
+    screens a fixed sequence of pairs, so every field is a function of the
+    channel, budget and tol alone.
     """
 
     preserving: bool
@@ -96,6 +99,7 @@ class CPVerdict:
     budget: int
     upper_bound: float | None
     certified: bool
+    band: bool
 
 
 def pair_from_coords(theta: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +185,10 @@ def is_commutativity_preserving(
     The computational pair (e0, e1) is evaluated first.  If it does not
     violate, preservation_bound decides: a bound at most tol is a certified
     pass and no search runs.  Otherwise _search_pairs screens the first
-    DEFAULT_STARTS of the fixed screen_frames and polishes the best (more of
-    them to a tighter tolerance when the best stays below max(100 tol,
-    1e-3)).  Nothing is random: the verdict, its witness pair and evals
+    DEFAULT_STARTS of the fixed screen_frames and polishes the best; when
+    the screened best is below max(100 tol, 1e-3) it runs the band instead,
+    the best PAIR_BAND_FRAMES together to a tighter tolerance (the verdict's
+    band).  Nothing is random: the verdict, its witness pair and evals
     depend only on the channel, budget and tol.  A violation is a proof; a
     search pass whose bound exceeds tol only says none was found within the
     budget.
@@ -198,7 +203,7 @@ def is_commutativity_preserving(
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     d = channel.dim
     if d < 2:
-        return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True)
+        return CPVerdict(True, 0.0, None, tol, 0, budget, 0.0, True, False)
 
     eye = np.eye(d)
     upper = None
@@ -206,9 +211,9 @@ def is_commutativity_preserving(
     if probe <= tol:
         upper = preservation_bound(channel)
         if upper <= tol:
-            return CPVerdict(True, probe, None, tol, 0, budget, upper, True)
+            return CPVerdict(True, probe, None, tol, 0, budget, upper, True, False)
 
-    frame, evals = _search_pairs(channel.ops, budget=budget, tol=tol)
+    frame, evals, band = _search_pairs(channel.ops, budget=budget, tol=tol)
     phi, psi = frame[:, 0].copy(), frame[:, 1].copy()
     violation = pair_violation_direct(channel, phi, psi)
     preserving = violation <= tol
@@ -221,11 +226,13 @@ def is_commutativity_preserving(
         budget=budget,
         upper_bound=upper,
         certified=not preserving,
+        band=band,
     )
 
 
 PAIR_STEP = 0.3
 PAIR_STEP_GROW = 1.5
+PAIR_STEP_LINEAR = 0.75
 PAIR_POLISH_RTOL = 1e-6
 PAIR_BAND_RTOL = 1e-9
 PAIR_BAND_FRAMES = 4
@@ -255,15 +262,16 @@ def screen_frames(d: int, n: int) -> np.ndarray:
     return frames[:n]
 
 
-def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.ndarray, int]:
-    """Best orthonormal pair frame (d, 2) found, and the pair evaluations used.
+def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.ndarray, int, bool]:
+    """Best orthonormal pair frame (d, 2) found, evaluations used, and whether the band ran.
 
     Screen: the first min(DEFAULT_STARTS, budget) screen_frames in one
-    batched call.  The screened winner is polished to PAIR_POLISH_RTOL.
-    Only if it is still below max(100 tol, 1e-3) do the best
-    PAIR_BAND_FRAMES screened frames (the polished winner among them)
-    ascend together to PAIR_BAND_RTOL.  budget caps the evaluations: one
-    per screened frame plus one per polished frame per step.  Nothing is
+    batched call.  The screened maximum picks the phase.  At or above
+    max(100 tol, 1e-3) the winner alone is polished to PAIR_POLISH_RTOL.
+    Below it the best PAIR_BAND_FRAMES screened frames (the winner among
+    them) ascend together to PAIR_BAND_RTOL, the band, and the winner gets
+    no separate polish first.  budget caps the evaluations: one per
+    screened frame plus one per polished frame per step.  Nothing is
     random, so the result depends on the channel, budget and tol alone.
     """
     d = kraus.shape[1]
@@ -272,15 +280,13 @@ def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.nda
     f, grad = kernels.pair_violation_grad(frames, kraus)
     evals = n
     order = np.argsort(-f, kind="stable")
-    evals += _ascend_pairs(
-        frames, f, grad, kraus, order[:1], budget=budget - evals, rtol=PAIR_POLISH_RTOL
-    )
-    if f.max() < max(100 * tol, 1e-3):
-        evals += _ascend_pairs(
-            frames, f, grad, kraus, order[:PAIR_BAND_FRAMES], budget=budget - evals,
-            rtol=PAIR_BAND_RTOL,
-        )
-    return frames[int(np.argmax(f))], evals
+    band = bool(f[order[0]] < max(100 * tol, 1e-3))
+    if band:
+        active, rtol = order[:PAIR_BAND_FRAMES], PAIR_BAND_RTOL
+    else:
+        active, rtol = order[:1], PAIR_POLISH_RTOL
+    evals += _ascend_pairs(frames, f, grad, kraus, active, budget=budget - evals, rtol=rtol)
+    return frames[int(np.argmax(f))], evals, band
 
 
 def _ascend_pairs(
@@ -305,10 +311,14 @@ def _ascend_pairs(
     move to the new frame by projection).  Plain gradient steps crawl along
     the nearly flat ridges of eps-perturbed symmetric channels for
     thousands of steps; the updates learn the ridge's curvature.  The step
-    length starts at 1, grows by PAIR_STEP_GROW when taken and halves when
-    refused; a step that would lower f is never taken.  A frame is done
-    once a taken step gains at most rtol f^2, or once a refused step was
-    too short to gain more than that to first order.
+    length starts at 1 and halves when refused; a step that would lower f
+    is never taken.  A taken step grows it by PAIR_STEP_GROW only while the
+    frame is still on a straight stretch: when its gain in log f^2 is at
+    least PAIR_STEP_LINEAR times the first-order prediction step * slope.
+    Otherwise the length stays, because near a maximum the quasi-Newton
+    step of length 1 is the right one and a longer trial is refused.  A
+    frame is done once a taken step gains at most rtol f^2, or once a
+    refused step was too short to gain more than that to first order.
 
     The climbing frames live in contiguous local arrays (the log-gradient
     xi in the real (k, 4d) layout of _real) and are written back to frames,
@@ -341,6 +351,9 @@ def _ascend_pairs(
         evals += k
         gain = f_new * f_new - f2
         take = gain >= 0
+        # a taken step's gain in log f^2 against its first-order prediction
+        ratio = np.divide(f_new * f_new, f2, out=np.ones(k), where=take & (f2 > 0))
+        linear = np.log(ratio) >= PAIR_STEP_LINEAR * step * slope
         moved = np.count_nonzero(take)
         if moved:
             # a slice, not a mask, when every frame moved: no gathers in the common case
@@ -351,7 +364,7 @@ def _ascend_pairs(
             hinv[sel] = _bfgs_update(hinv[sel], step[sel, None] * p_real[sel], y)
             w[sel], fk[sel], g[sel], xi[sel] = q, f_new, g_new, xi_new
         done = np.where(take, gain, step * slope * f2) <= rtol * f2
-        step = np.where(take, step * PAIR_STEP_GROW, step / 2)
+        step = np.where(take, np.where(linear, step * PAIR_STEP_GROW, step), step / 2)
         if np.count_nonzero(done):
             write_back(done)
             keep = ~done
@@ -770,6 +783,10 @@ def classify_qutrit(
 
 
 MSF_STEP_TOL = 1e-15
+# f and f_upper round the same maximum two ways (a quadratic form and
+# eigvalsh); at d = 2 they disagree by up to ~16 eps |f_upper|, so the
+# bracket counts as closed within that much on top of MSF_STEP_TOL.
+MSF_ROUNDING = 16 * np.finfo(float).eps
 MSF_SLACK = 1e-6
 MSF_ESCAPE_RADIUS = 1.0
 MSF_FLAT_FRACTION = 0.02
@@ -812,13 +829,14 @@ class MsfResult:
     never below the overlap at U = I.  f_upper is entangled_fraction_upper:
     the exact maximum at d = 2, and an upper bound on it above.  converged
     says the search stopped by its own rule within the budget: either the
-    bracket closed (the best start came within MSF_STEP_TOL of f_upper,
-    which at d >= 3 happens only where the bound is tight, as on pure
-    states) or every start met the stopping rule (a step gaining at most
-    MSF_STEP_TOL).  evals counts objective-and-gradient evaluations
-    summed over starts, one per candidate: two per active start per step
-    (the polar and the Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one
-    above.  iterations counts the steps of the longest-running start.
+    bracket closed (the best start came within MSF_STEP_TOL plus
+    MSF_ROUNDING |f_upper| of f_upper, which at d >= 3 happens only where
+    the bound is tight, as on pure states) or every start met the stopping
+    rule (a step gaining at most MSF_STEP_TOL).  evals counts
+    objective-and-gradient evaluations summed over starts, one per
+    candidate: two per active start per step (the polar and the Newton
+    candidate) for d <= MSF_NEWTON_MAX_DIM, one above.  iterations counts
+    the steps of the longest-running start.
     """
 
     f_value: float
@@ -889,7 +907,8 @@ def msf(
     and all starts step together as one batch.  A start leaves the batch
     once a step gains at most MSF_STEP_TOL, and the whole ascent ends,
     every start counted converged, once the bracket closes: the best start
-    is within MSF_STEP_TOL of f_upper = entangled_fraction_upper(state).
+    is within MSF_STEP_TOL plus MSF_ROUNDING |f_upper| (the rounding of the
+    two evaluations) of f_upper = entangled_fraction_upper(state).
     f_upper is exact at d = 2, so there the ascent stops as soon as a start
     reaches the maximum.  budget caps the evaluations summed over starts, one
     per candidate: when it runs short, the polar candidates come first.
@@ -919,7 +938,8 @@ def msf(
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
     use_newton = d <= MSF_NEWTON_MAX_DIM
-    closed = f.max() >= f_upper - MSF_STEP_TOL
+    close_at = f_upper - MSF_STEP_TOL - MSF_ROUNDING * abs(f_upper)
+    closed = f.max() >= close_at
     while active.size and evals < budget and not closed:
         active = active[: budget - evals]
         n_newton = min(active.size, budget - evals - active.size) if use_newton else 0
@@ -943,7 +963,7 @@ def msf(
         done = gain <= MSF_STEP_TOL
         converged[active[done]] = True
         active = active[~done]
-        closed = f.max() >= f_upper - MSF_STEP_TOL
+        closed = f.max() >= close_at
 
     best = u[int(np.argmax(f))]
     f_value = entangled_overlap_direct(state, best)

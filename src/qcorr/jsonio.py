@@ -168,6 +168,7 @@ def cp_verdict_to_json(v: CPVerdict) -> dict:
         "budget": v.budget,
         "upper_bound": v.upper_bound,
         "certified": v.certified,
+        "band": v.band,
         "note": note,
     }
     if v.witness_pair is not None:

@@ -179,7 +179,7 @@ class TestPreservationCertificate:
         for ch in preserving_examples(3, rng) + [chn.identity_channel(4)]:
             verdict = classify.is_commutativity_preserving(ch)
             assert verdict.preserving and verdict.certified
-            assert verdict.evals == 0
+            assert verdict.evals == 0 and verdict.band is False
             assert verdict.witness_pair is None
             assert verdict.upper_bound <= verdict.tol
             e = np.eye(ch.dim)
@@ -262,13 +262,50 @@ class TestSearchFrames:
     @pytest.mark.parametrize("budget", [1, 2, 33])
     @pytest.mark.parametrize("d", [2, 4])
     def test_evals_within_small_budgets(self, budget, d, rng):
-        # a Haar channel takes the polish only; the near-boundary one also the band
+        # a Haar channel takes the polish only; the near-boundary one the band only
         for ch in (random_cptp(d, rng), near_boundary_channel(d, 1e-3, rng)):
             verdict = classify.is_commutativity_preserving(ch, budget=budget)
             assert min(budget, classify.DEFAULT_STARTS) <= verdict.evals <= budget
             if not verdict.preserving:
                 pair = np.column_stack(verdict.witness_pair)
                 assert np.abs(pair.conj().T @ pair - np.eye(2)).max() < 1e-12
+
+
+class TestSearchPhase:
+    # the screened maximum picks the phase: the winner's polish at or above
+    # max(100 tol, 1e-3), the band below it
+
+    @staticmethod
+    def record_ascents(monkeypatch):
+        calls = []
+        ascend = classify._ascend_pairs
+
+        def recording(frames, f, grad, kraus, active, **kw):
+            calls.append((active.size, kw["rtol"]))
+            return ascend(frames, f, grad, kraus, active, **kw)
+
+        monkeypatch.setattr(classify, "_ascend_pairs", recording)
+        return calls
+
+    def test_haar_creator_polishes_winner_alone(self, monkeypatch):
+        calls = self.record_ascents(monkeypatch)
+        for seed in range(8):
+            calls.clear()
+            ch = random_cptp(4, rng_from_seed(900 + seed))
+            verdict = classify.is_commutativity_preserving(ch)
+            assert not verdict.preserving, seed
+            assert verdict.band is False, seed
+            assert calls == [(1, classify.PAIR_POLISH_RTOL)], seed
+
+    def test_near_boundary_creator_takes_band_only(self, monkeypatch):
+        calls = self.record_ascents(monkeypatch)
+        for seed in range(8):
+            calls.clear()
+            ch = near_boundary_channel(3, 1e-3, rng_from_seed(700 + seed))
+            verdict = classify.is_commutativity_preserving(ch)
+            assert not verdict.preserving, seed
+            assert verdict.band is True, seed
+            assert calls == [(classify.PAIR_BAND_FRAMES, classify.PAIR_BAND_RTOL)], seed
 
 
 class TestBfgsUpdate:
@@ -339,6 +376,18 @@ class TestCreatorSearchRobustness:
             verdict = classify.is_commutativity_preserving(ch)
             assert not verdict.preserving, seed
             assert verdict.evals <= 500, (seed, verdict.evals)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_flat_ridge_takes_few_evaluations(self, d):
+        # the channels of test_flat_ridge_band_converges: the step length grows
+        # only while a step's gain stays linear, so no frame keeps overshooting
+        # (at most 160 evaluations with a step that always grew, and 562 on
+        # seed 5 at d = 2 with the step capped at length 1)
+        for seed in range(8):
+            ch = near_boundary_channel(d, 1e-3, rng_from_seed(700 + seed))
+            verdict = classify.is_commutativity_preserving(ch)
+            assert not verdict.preserving, seed
+            assert verdict.evals <= 200, (seed, verdict.evals)
 
 
 def search_witness(ch):
@@ -755,6 +804,17 @@ class TestMsf:
             assert res.f_upper <= generic + 1e-12, i
             assert abs(res.f_value - res.f_upper) <= 1e-12, i
             assert res.converged, i
+
+    def test_bracket_closes_at_rounding_level(self):
+        # f and f_upper round one maximum two ways; on these states they stay
+        # more than MSF_STEP_TOL apart once the best start is at the maximum,
+        # which cost a fourth step before the stop allowed for rounding
+        for i in (2, 6, 78):
+            st = random_bipartite(2, 2, substream(0xB5, 2 * i))
+            res = classify.msf(st, budget=6000, starts=12, rng=substream(0xB5, 2 * i + 1))
+            assert res.converged, i
+            assert res.iterations <= 3, (i, res.iterations)
+            assert abs(res.f_value - exact_entangled_fraction_2q(st.mat)) <= 1e-12, i
 
     def test_convergence_tail(self):
         # criterion-7 inputs, among them every one whose search ended

@@ -8,7 +8,7 @@ from qcorr import channels as chn
 from qcorr import jsonio
 from qcorr.channels import maximally_entangled_ket
 from qcorr.cli import main
-from qcorr.sampling import haar_unitary, rng_from_seed
+from qcorr.sampling import haar_unitary, random_cptp, random_isotropic, rng_from_seed
 from qcorr.states import BipartiteState, DensityMatrix
 
 
@@ -55,6 +55,23 @@ class TestClassifyCommand:
         assert cp["evals"] == 0
         assert "witness_pair" not in cp
         assert cp["note"] == "certified: no orthogonal pair exceeds tol"
+
+    def test_band_reported_json(self, files, capsys):
+        # cp.band says which search phase ran: none on a certified pass, the
+        # winner's polish on a Haar creator, the band near the boundary
+        _, write = files
+        rng = rng_from_seed(11)
+        p, r = random_isotropic(3, rng), random_cptp(3, rng)
+        near = chn.KrausChannel(np.concatenate([np.sqrt(1 - 1e-3) * p.ops, np.sqrt(1e-3) * r.ops]))
+        cases = [(chn.depolarizing(3, 0.3), True, False), (random_cptp(4, rng), False, False),
+                 (near, False, True)]
+        for i, (ch, preserving, band) in enumerate(cases):
+            path = write(f"ch{i}.json", jsonio.channel_to_json(ch))
+            code, out, _ = run(capsys, ["classify", "--channel", path, "--format", "json"])
+            assert code == 0
+            cp = json.loads(out)["result"]["cp"]
+            assert cp["preserving"] is preserving, i
+            assert cp["band"] is band, i
 
     def test_dephasing_decohering_json(self, files, capsys):
         _, write = files
