@@ -94,7 +94,7 @@ class KrausChannel:
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.dim != self.dim:
             raise ValueError(f"channel dimension {self.dim} != state dimension {rho.dim}")
-        return DensityMatrix(self.apply_matrix(rho.mat))
+        return DensityMatrix.from_psd(self.apply_matrix(rho.mat))
 
     def apply_local_b(self, state: BipartiteState) -> BipartiteState:
         """(I_A (x) L)(rho_AB); acts blockwise as C_kl -> L(C_kl)."""
@@ -103,7 +103,7 @@ class KrausChannel:
         da, db = state.dim_a, state.dim_b
         blocks = state.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)  # blocks[k, l] = C_kl
         out = kernels.apply_kraus(self.ops, blocks).transpose(0, 2, 1, 3)
-        return BipartiteState(da, db, DensityMatrix(out.reshape(da * db, da * db)))
+        return BipartiteState(da, db, DensityMatrix.from_psd(out.reshape(da * db, da * db)))
 
     def unit_images(self) -> np.ndarray:
         """The superoperator as a (d, d, d, d) array: [i, j] holds L(E_ij).

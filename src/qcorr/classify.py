@@ -36,6 +36,7 @@ from . import kernels, linalg
 # goes with optimize.py once the benchmark drops that lookup.
 from .optimize import DEFAULT_BUDGET, DEFAULT_STARTS, maximize_unitary_objective  # noqa: F401
 from .sampling import (
+    haar_isometries,
     haar_unitaries,
     random_block_unitary_mixture,
     random_completely_decohering,
@@ -245,8 +246,9 @@ _SCREENS: dict[int, np.ndarray] = {}
 def screen_frames(d: int, n: int) -> np.ndarray:
     """The first n pair frames of the fixed screen at dimension d, as (n, d, 2).
 
-    Frame 0 is (e0, e1) and frame i is the first two columns of the i-th
-    haar_unitary draw from the Philox stream of SCREEN_SEED.  The draws come
+    Frame 0 is (e0, e1) and frame i is the i-th d x 2 Haar isometry drawn
+    from the Philox stream of SCREEN_SEED (the first two columns of the
+    i-th haar_unitary draw, with only those two QR-factored).  The draws come
     in order, so a shorter screen is a prefix of a longer one: one read-only
     sequence per d (DEFAULT_STARTS frames, redrawn longer only when a caller
     asks for more) is kept, and every call returns a view of its first n.
@@ -256,7 +258,7 @@ def screen_frames(d: int, n: int) -> np.ndarray:
         rng = rng_from_seed(SCREEN_SEED)
         frames = np.empty((max(n, DEFAULT_STARTS), d, 2), dtype=complex)
         frames[0] = np.eye(d)[:, :2]
-        frames[1:] = haar_unitaries(d, len(frames) - 1, rng)[:, :, :2]
+        frames[1:] = haar_isometries(d, 2, len(frames) - 1, rng)
         frames.setflags(write=False)
         _SCREENS[d] = frames
     return frames[:n]

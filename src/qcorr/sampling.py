@@ -5,6 +5,12 @@ density matrices are trace-normalized Wishart GG^dag (Hilbert-Schmidt when
 rank = d), channels come from Haar-random Stinespring isometries.  Reports
 quote these names since nothing canonical is prescribed.
 
+A sampler that needs n orthonormal columns (a Stinespring isometry, a pair
+frame, a partial basis) takes a Haar isometry: the same normals a Haar
+unitary draws, with only the n columns in use QR-factored.  Wishart states
+are PSD by construction, so they are trace-normalized without the
+eigendecomposition that validates user input (DensityMatrix.from_psd).
+
 Reproducibility contract: generators are counter-based (Philox) and seeded
 through SeedSequence, so a 64-bit master seed determines every artifact.
 Parallel work splits the master seed by task index with the documented rule
@@ -38,19 +44,35 @@ def ginibre(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2)
 
 
-def haar_unitaries(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k Haar-distributed unitaries as a (k, d, d) stack, from one stacked QR.
+def haar_isometries(d: int, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-distributed d x n isometries as a (k, d, n) stack, from one stacked QR.
 
     The normals are drawn as one (k, 2, d, d) array, real then imaginary
-    part per unitary, which is the order in which k haar_unitary calls draw
-    them: the stack equals those k calls bit for bit and leaves rng in the
-    same state.
+    part per matrix, which is the order in which k haar_unitary calls draw
+    them, so rng ends in the same state.  Only the n leading Ginibre
+    columns are QR-factored: Householder QR makes column j of Q from
+    columns 0..j alone, so each isometry is the first n columns of the
+    unitary that haar_unitaries(d, k, rng) returns.  tests/test_sampling.py
+    pins that bit for bit on the shapes the library draws, against a full
+    QR run on one BLAS thread: from 125 rows on, OpenBLAS rounds a threaded
+    full QR differently, while this thin QR gives the same bits either way.
     """
-    z = rng.standard_normal((k, 2, d, d))
+    if not 1 <= n <= d:
+        raise ValueError(f"isometry width must be in [1, {d}], got {n}")
+    z = rng.standard_normal((k, 2, d, d))[..., :n]
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     ph = np.diagonal(r, axis1=1, axis2=2).copy()
     ph /= np.abs(ph)
     return q * ph[:, None, :]
+
+
+def haar_unitaries(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Haar-distributed unitaries as a (k, d, d) stack: haar_isometries with n = d.
+
+    The stack equals k haar_unitary calls bit for bit and leaves rng in the
+    same state.
+    """
+    return haar_isometries(d, d, k, rng)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,7 +93,7 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
         raise ValueError(f"rank must be in [1, {d}]")
     g = ginibre(d, rank, rng)
     w = g @ g.conj().T
-    return DensityMatrix(w / np.real(np.trace(w)))
+    return DensityMatrix.from_psd(w / np.real(np.trace(w)))
 
 
 def random_cptp(d: int, rng: np.random.Generator, env_dim: int | None = None) -> ch.KrausChannel:
@@ -83,9 +105,7 @@ def random_cptp(d: int, rng: np.random.Generator, env_dim: int | None = None) ->
     env = d * d if env_dim is None else env_dim
     if env < 1:
         raise ValueError("env_dim must be >= 1")
-    u = haar_unitary(env * d, rng)
-    v = u[:, :d]
-    ops = v.reshape(env, d, d)
+    ops = haar_isometries(env * d, d, 1, rng)[0].reshape(env, d, d)
     return ch.KrausChannel(ops, kind="random_cptp", params={"env_dim": env})
 
 
@@ -104,11 +124,11 @@ def random_commuting_pair(
 def random_orthogonal_pure_pair(
     d: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal kets (columns of a Haar unitary)."""
+    """Two orthonormal kets (the columns of a d x 2 Haar isometry)."""
     if d < 2:
         raise ValueError("need dimension >= 2 for an orthogonal pair")
-    u = haar_unitary(d, rng)
-    return u[:, 0].copy(), u[:, 1].copy()
+    v = haar_isometries(d, 2, 1, rng)[0]
+    return v[:, 0].copy(), v[:, 1].copy()
 
 
 def random_probability(
@@ -187,7 +207,7 @@ def random_half_classical(
     n = dim_b if n_terms is None else n_terms
     weights = rng.dirichlet(np.ones(n))
     cond_a = [random_density(dim_a, rng) for _ in range(n)]
-    basis = haar_unitary(dim_b, rng)[:, :n]
+    basis = haar_isometries(dim_b, n, 1, rng)[0]
     return make_half_classical(weights, cond_a, basis)
 
 

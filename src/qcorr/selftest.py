@@ -16,6 +16,7 @@ import numpy as np
 from . import channels as chn
 from . import linalg
 from .sampling import (
+    haar_isometries,
     haar_unitaries,
     haar_unitary,
     random_commuting_pair,
@@ -172,5 +173,13 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
     batch = haar_unitaries(3, 5, batch_rng)
     same = np.array_equal(batch, single) and single_rng.standard_normal() == batch_rng.standard_normal()
     record("sampling", "haar_batch_matches_single", same, "equal substreams give the same unitaries one at a time and stacked")
+
+    # a Stinespring-shaped draw: 9 x 3 isometries, as random_cptp takes at d = 3, env = 3
+    unitary_rng = substream(seed, 5)
+    kept = haar_unitaries(9, 2, unitary_rng)[..., :3]
+    isometry_rng = substream(seed, 5)
+    iso = haar_isometries(9, 3, 2, isometry_rng)
+    same = np.array_equal(iso, kept) and unitary_rng.standard_normal() == isometry_rng.standard_normal()
+    record("sampling", "haar_isometry_matches_unitary", same, "equal substreams give the kept columns of the unitaries and the isometries")
 
     return SelftestReport(tuple(checks))

@@ -43,8 +43,19 @@ def check_orthonormal(columns: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, PSD.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero and the state is
-    renormalized; anything more negative is rejected rather than masked.
+    The constructor validates: eigenvalues in [-1e-10, 0) are clamped to
+    zero and the state is renormalized; anything more negative is rejected
+    rather than masked.  Every matrix from outside the library (a JSON
+    file, a caller's array) takes that path, and so does every library
+    construction not named below, make_half_classical's included.
+
+    Three constructors skip the eigh because their matrix is a density
+    matrix by construction: pure and maximally_mixed, and from_psd for a
+    PSD matrix the library built itself (a Wishart state, a channel's image
+    of a valid state).  from_psd takes the Hermitian part and divides by
+    its trace, so an image whose trace is off by a trace-preserving
+    channel's accepted residual (up to TP_ATOL) is normalized, not
+    rejected at TRACE_ATOL.
     """
 
     __slots__ = ("dim", "mat")
@@ -67,6 +78,17 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=complex) / dim, _validated=True)
+
+    @classmethod
+    def from_psd(cls, mat: np.ndarray) -> "DensityMatrix":
+        """Normalize a matrix that is PSD by construction: Hermitian part over its trace.
+
+        The operations and their order are those of the constructor's
+        validation when no eigenvalue needs clamping, so a full-rank state
+        comes out bit for bit the same.
+        """
+        mat = linalg.hermitian_part(np.asarray(mat, dtype=complex))
+        return cls(mat / np.real(np.trace(mat)), _validated=True)
 
     def spectrum(self) -> linalg.Spectrum:
         return linalg.hermitian_eig(self.mat)

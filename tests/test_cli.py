@@ -8,7 +8,13 @@ from qcorr import channels as chn
 from qcorr import jsonio
 from qcorr.channels import maximally_entangled_ket
 from qcorr.cli import main
-from qcorr.sampling import haar_unitary, random_cptp, random_isotropic, rng_from_seed
+from qcorr.sampling import (
+    haar_unitary,
+    random_cptp,
+    random_isotropic,
+    random_unital_mixture,
+    rng_from_seed,
+)
 from qcorr.states import BipartiteState, DensityMatrix
 
 
@@ -132,6 +138,49 @@ class TestClassifyCommand:
             reports.append(report)
         assert reports[0]["result"]["label"] == "isotropic"
         assert reports[0] == reports[1]
+
+
+# Kraus operators scaled by 1 + s give ||sum E^dag E - I||_F = 2 sqrt(2) s (1 + s/2),
+# 9.0e-10 at d = 2: accepted at TP_ATOL = 1e-9, while every image's trace is
+# off by 2s = 6.4e-10, beyond TRACE_ATOL = 1e-10.
+TP_EDGE_SCALE = 1 + 0.9e-9 / (2 * np.sqrt(2))
+
+
+class TestAcceptedTraceResidual:
+    """A channel accepted as trace preserving gets a report, not exit 2."""
+
+    @staticmethod
+    def write_scaled(write, ch):
+        scaled = chn.KrausChannel(TP_EDGE_SCALE * ch.ops)
+        resid = np.linalg.norm(np.einsum("kji,kjl->il", scaled.ops.conj(), scaled.ops) - np.eye(2))
+        assert 8.9e-10 < resid <= chn.TP_ATOL
+        return write("edge.json", jsonio.channel_to_json(scaled))
+
+    def test_classify_creator(self, files, capsys):
+        _, write = files
+        path = self.write_scaled(write, random_cptp(2, rng_from_seed(21)))
+        code, out, err = run(capsys, ["classify", "--channel", path, "--format", "json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["label"] == "creator"
+        assert result["witness"] is not None
+
+    def test_witness_found(self, files, capsys):
+        _, write = files
+        path = self.write_scaled(write, random_cptp(2, rng_from_seed(21)))
+        code, out, err = run(capsys, ["witness", "--channel", path, "--format", "json"])
+        assert code == 0, err
+        assert json.loads(out)["result"]["found"] is True
+
+    def test_msf_bound_holds(self, files, capsys):
+        _, write = files
+        spath = write("bell.json", _bell_state_json())
+        cpath = self.write_scaled(write, random_unital_mixture(2, rng_from_seed(22)))
+        code, out, err = run(
+            capsys, ["msf", "--in", spath, "--channel", cpath, "--seed", "3", "--format", "json"]
+        )
+        assert code == 0, err
+        assert json.loads(out)["result"]["bound"]["holds"] is True
 
 
 def _bell_state_json():

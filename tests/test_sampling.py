@@ -1,14 +1,20 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qcorr import linalg
+from qcorr import kernels, linalg
 from qcorr.channels import KrausChannel, choi_matrix
 from qcorr.sampling import (
     ginibre,
+    haar_isometries,
     haar_unitaries,
     haar_unitary,
+    random_bipartite,
     random_commuting_pair,
     random_cptp,
     random_density,
@@ -17,6 +23,7 @@ from qcorr.sampling import (
     rng_from_seed,
     substream,
 )
+from qcorr.states import BipartiteState, DensityMatrix
 
 
 class TestHaarUnitary:
@@ -70,6 +77,66 @@ class TestHaarUnitaries:
         assert rng.standard_normal() == rng_from_seed(3).standard_normal()
 
 
+# The (rows, n, k) shapes the library draws.  Equality with the kept
+# columns of a full QR is a property of LAPACK's unblocked Householder path,
+# not of QR in general (the blocked path, from about 108 kept columns on,
+# differs by rounding), so only these shapes are pinned.
+STINESPRING_SHAPES = [(env * d, d, 1) for d in range(2, 9) for env in (1, d, d * d)]
+SCREEN_SHAPES = [(d, 2, 31) for d in range(2, 9)]
+PARTIAL_BASIS_SHAPES = [(d, n, 1) for d in range(2, 6) for n in range(1, d)]
+ISOMETRY_SHAPES = STINESPRING_SHAPES + SCREEN_SHAPES + PARTIAL_BASIS_SHAPES
+ISOMETRY_SEEDS = (0, 1)
+
+# The full QR of a 125 x 125 or larger matrix rounds differently when
+# OpenBLAS runs it on several threads, so the reference columns come from a
+# child process pinned to one thread.  The thin QR is too small to be split
+# and gives the same bits either way.
+_SINGLE_THREAD_COLUMNS = """
+import pickle, sys
+from qcorr.sampling import haar_unitaries, rng_from_seed
+out = {}
+for rows, n, k, seed in pickle.loads(sys.stdin.buffer.read()):
+    rng = rng_from_seed(seed)
+    out[rows, n, k, seed] = (haar_unitaries(rows, k, rng)[..., :n], rng.standard_normal(8))
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def unitary_columns():
+    """{(rows, n, k, seed): (kept columns of haar_unitaries, the next 8 normals)}."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cases = [(*shape, seed) for shape in ISOMETRY_SHAPES for seed in ISOMETRY_SEEDS]
+    out = subprocess.run([sys.executable, "-c", _SINGLE_THREAD_COLUMNS], input=pickle.dumps(cases),
+                         capture_output=True, env=env, check=True)
+    return pickle.loads(out.stdout)
+
+
+class TestHaarIsometries:
+    @pytest.mark.parametrize("rows, n, k", ISOMETRY_SHAPES)
+    def test_equal_kept_columns_of_unitaries(self, unitary_columns, rows, n, k):
+        for seed in ISOMETRY_SEEDS:
+            kept, next_normals = unitary_columns[rows, n, k, seed]
+            rng = rng_from_seed(seed)
+            iso = haar_isometries(rows, n, k, rng)
+            assert iso.shape == (k, rows, n)
+            assert np.array_equal(iso, kept), seed
+            # the generator is left in the same state: the next draws agree
+            assert np.array_equal(rng.standard_normal(8), next_normals), seed
+
+    def test_isometry(self, rng):
+        v = haar_isometries(12, 3, 4, rng)
+        gram = v.conj().transpose(0, 2, 1) @ v
+        assert np.abs(gram - np.eye(3)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_width_out_of_range(self, rng, n):
+        with pytest.raises(ValueError):
+            haar_isometries(3, n, 1, rng)
+
+
 class TestRandomDensity:
     def test_rank_one_is_pure(self, rng):
         rho = random_density(4, rng, rank=1)
@@ -92,6 +159,15 @@ class TestRandomDensity:
         with pytest.raises(ValueError):
             random_density(3, rng, rank=4)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_full_rank_equals_validated_construction(self, d):
+        # the validating constructor on the same draw: the one it replaced
+        for seed in range(5):
+            g = ginibre(d, d, rng_from_seed(seed))
+            w = g @ g.conj().T
+            old = DensityMatrix(w / np.real(np.trace(w)))
+            assert np.array_equal(random_density(d, rng_from_seed(seed)).mat, old.mat), seed
+
 
 class TestRandomCptp:
     def test_env_one_is_unitary(self, rng):
@@ -112,12 +188,53 @@ class TestRandomCptp:
             ranks.append(int(np.sum(w > 1e-10)))
         assert min(ranks) == 9
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_equals_kept_columns_of_haar_unitary(self, unitary_columns, d):
+        # the construction it replaced: haar_unitary(env d)[:, :d].reshape(env, d, d)
+        for env_dim, env in ((None, d * d), (1, 1), (d, d)):
+            for seed in ISOMETRY_SEEDS:
+                old = unitary_columns[env * d, d, 1, seed][0][0].reshape(env, d, d)
+                ops = random_cptp(d, rng_from_seed(seed), env_dim=env_dim).ops
+                assert np.array_equal(ops, old), (env_dim, seed)
+
     def test_trace_preservation_residual(self, rng):
         ch = random_cptp(4, rng)
         resid = linalg.frobenius(
             np.einsum("kji,kjl->il", ch.ops.conj(), ch.ops) - np.eye(4)
         )
         assert resid < 1e-10
+
+
+class TestChannelImages:
+    # apply and apply_local_b normalize the image instead of re-validating
+    # it; on full-rank images that is the validating constructor bit for bit
+    @pytest.mark.parametrize("da, db", [(1, 2), (2, 2), (2, 3), (3, 4)])
+    def test_apply_local_b_equals_validated_construction(self, da, db):
+        for seed in range(3):
+            rng = rng_from_seed(seed)
+            ch, st = random_cptp(db, rng), random_bipartite(da, db, rng)
+            blocks = st.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)
+            raw = kernels.apply_kraus(ch.ops, blocks).transpose(0, 2, 1, 3)
+            old = BipartiteState(da, db, DensityMatrix(raw.reshape(da * db, da * db)))
+            assert np.array_equal(ch.apply_local_b(st).mat, old.mat), seed
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_apply_equals_validated_construction(self, d):
+        for seed in range(3):
+            rng = rng_from_seed(seed)
+            ch, rho = random_cptp(d, rng), random_density(d, rng)
+            old = DensityMatrix(ch.apply_matrix(rho.mat))
+            assert np.array_equal(ch.apply(rho).mat, old.mat), seed
+
+    def test_image_trace_off_by_accepted_residual(self, rng):
+        # sum E^dag E = (1 + 2s + s^2) I: accepted at TP_ATOL = 1e-9, but the
+        # image trace is off by 2s = 6.4e-10, beyond TRACE_ATOL = 1e-10
+        s = 0.9e-9 / (2 * np.sqrt(2))
+        ch = KrausChannel((1 + s) * random_cptp(2, rng).ops)
+        rho = random_density(2, rng)
+        assert np.trace(ch.apply(rho).mat).real == pytest.approx(1.0, abs=1e-15)
+        st = ch.apply_local_b(random_bipartite(2, 2, rng))
+        assert np.trace(st.mat).real == pytest.approx(1.0, abs=1e-15)
 
 
 class TestRandomCommutingPair:
