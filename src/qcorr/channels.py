@@ -42,10 +42,11 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
 class KrausChannel:
     """A channel given by Kraus operators {E_i} acting as sum_i E_i rho E_i^dag.
 
-    Validated to be trace preserving (sum_i E_i^dag E_i = I) unless built
-    with trace_preserving=False; only adjoint does so, and the flag is not
-    stored.  Any Kraus list is completely positive: its Choi matrix is a
-    Gram matrix.
+    Always trace preserving: the constructor rejects any Kraus list with
+    ||sum_i E_i^dag E_i - I||_F > TP_ATOL.  Any Kraus list is completely
+    positive: its Choi matrix is a Gram matrix.  The adjoint map, which is
+    trace preserving only for unital channels, is an action (apply_adjoint),
+    not a channel.
     kind/params carry optional constructor metadata for serialization.
     """
 
@@ -57,7 +58,6 @@ class KrausChannel:
         *,
         kind: str | None = None,
         params: dict | None = None,
-        trace_preserving: bool = True,
     ):
         arr = np.array([np.asarray(e, dtype=complex) for e in ops])
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
@@ -65,14 +65,11 @@ class KrausChannel:
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("Kraus operators contain non-finite entries")
         d = arr.shape[1]
-        if trace_preserving:
-            resid = linalg.frobenius(
-                np.einsum("kji,kjl->il", arr.conj(), arr) - np.eye(d)
+        resid = linalg.frobenius(np.einsum("kji,kjl->il", arr.conj(), arr) - np.eye(d))
+        if resid > TP_ATOL:
+            raise ValueError(
+                f"not trace preserving: ||sum E^dag E - I||_F = {resid:.3e} > {TP_ATOL:.0e}"
             )
-            if resid > TP_ATOL:
-                raise ValueError(
-                    f"not trace preserving: ||sum E^dag E - I||_F = {resid:.3e} > {TP_ATOL:.0e}"
-                )
         self.ops = arr
         self.ops.setflags(write=False)
         self.dim = d
@@ -90,6 +87,17 @@ class KrausChannel:
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim} x {self.dim} matrix")
         return np.asarray(kernels.apply_kraus(self.ops, m))
+
+    def apply_adjoint(self, m: np.ndarray) -> np.ndarray:
+        """L*(m) = sum_i E_i^dag m E_i on a d x d matrix or a (..., d, d) stack.
+
+        Tr(A L(B)) = Tr(L*(A) B).  L* keeps traces only if L is unital, so
+        its images are matrices, not renormalized states.
+        """
+        m = np.asarray(m, dtype=complex)
+        if m.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"expected {self.dim} x {self.dim} matrices")
+        return np.asarray(kernels.apply_kraus(self.ops.conj().transpose(0, 2, 1), m))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.dim != self.dim:
@@ -120,19 +128,6 @@ class KrausChannel:
             self._images = np.ascontiguousarray(images)
             self._images.setflags(write=False)
         return self._images
-
-    def adjoint(self) -> "KrausChannel":
-        """The adjoint map with Kraus {E_i^dag}: Tr(A L(B)) = Tr(L*(A) B).
-
-        Unital by construction; trace preserving iff this channel is unital,
-        so the result skips the trace-preservation check.
-        """
-        return KrausChannel(
-            self.ops.conj().transpose(0, 2, 1),
-            kind="adjoint",
-            params={"of": self.kind or "raw"},
-            trace_preserving=False,
-        )
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:

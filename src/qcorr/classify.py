@@ -41,6 +41,7 @@ from .sampling import (
     random_block_unitary_mixture,
     random_completely_decohering,
     random_cptp,
+    random_density,
     random_isotropic,
     random_ket,  # noqa: F401  unused; perfbench's tracer resolves qcorr.classify.random_ket
     random_unital_mixture,
@@ -52,7 +53,6 @@ from .states import (
     DensityMatrix,
     check_ket,
     is_classical_on_b,
-    make_half_classical,
 )
 
 CP_TOL = 1e-7
@@ -461,16 +461,20 @@ def witness_from_pair(
     *,
     tol: float = CP_TOL,
 ) -> CreationWitness:
-    """Build and check the two-term witness state for a given orthogonal pair."""
+    """Build and check the two-term witness state for a given orthogonal pair.
+
+    The pair is checked once (unit norms, |<phi|psi>| <= ORTHO_ATOL); the
+    block-diagonal input is then only normalized (from_psd).
+    """
     phi = check_ket(phi)
     psi = check_ket(psi)
     if abs(np.vdot(phi, psi)) > ORTHO_ATOL:
         raise ValueError("witness pair must be orthogonal")
-    state = make_half_classical(
-        [0.5, 0.5],
-        [DensityMatrix.pure(e) for e in np.eye(2)],
-        np.column_stack([phi, psi]),
-    )
+    d = phi.size
+    joint = np.zeros((2 * d, 2 * d), dtype=complex)
+    joint[:d, :d] = np.outer(phi, phi.conj()) / 2
+    joint[d:, d:] = np.outer(psi, psi.conj()) / 2
+    state = BipartiteState(2, d, DensityMatrix.from_psd(joint))
     out = channel.apply_local_b(state)
     in_rep = is_classical_on_b(state)
     out_rep = is_classical_on_b(out)
@@ -549,8 +553,6 @@ def is_mixing_sampled(
     uniquely, so any non-unital channel strictly lowers its entropy, which
     random (mostly rather pure) samples can easily miss.
     """
-    from .sampling import random_density
-
     probes = [DensityMatrix.maximally_mixed(channel.dim)]
     probes += [random_density(channel.dim, rng) for _ in range(n_samples)]
     for rho in probes:

@@ -117,7 +117,7 @@ def random_commuting_pair(
     out = []
     for _ in range(2):
         spec = rng.dirichlet(np.ones(d))
-        out.append(DensityMatrix(linalg.hermitian_part((u * spec) @ u.conj().T)))
+        out.append(DensityMatrix.from_psd((u * spec) @ u.conj().T))
     return out[0], out[1]
 
 

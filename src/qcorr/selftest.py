@@ -124,13 +124,12 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
     record("channels", "choi_kraus_round_trip", worst_rt <= tol, f"worst action distance {worst_rt:.2e}")
 
     ch = random_cptp(3, rng)
-    adj = ch.adjoint()
     worst_dual = 0.0
     for _ in range(20):
         a = random_density(3, rng).mat
         b = random_density(3, rng).mat
         lhs = np.trace(a @ ch.apply_matrix(b))
-        rhs = np.trace(adj.apply_matrix(a) @ b)
+        rhs = np.trace(ch.apply_adjoint(a) @ b)
         worst_dual = max(worst_dual, abs(lhs - rhs))
     record("channels", "adjoint_duality", worst_dual <= tol, f"worst residual {worst_dual:.2e}")
 

@@ -46,16 +46,15 @@ class DensityMatrix:
     The constructor validates: eigenvalues in [-1e-10, 0) are clamped to
     zero and the state is renormalized; anything more negative is rejected
     rather than masked.  Every matrix from outside the library (a JSON
-    file, a caller's array) takes that path, and so does every library
-    construction not named below, make_half_classical's included.
+    file, a caller's array) takes that path.
 
     Three constructors skip the eigh because their matrix is a density
     matrix by construction: pure and maximally_mixed, and from_psd for a
-    PSD matrix the library built itself (a Wishart state, a channel's image
-    of a valid state).  from_psd takes the Hermitian part and divides by
-    its trace, so an image whose trace is off by a trace-preserving
-    channel's accepted residual (up to TP_ATOL) is normalized, not
-    rejected at TRACE_ATOL.
+    PSD matrix the library built from checked parts (a Wishart state, a
+    channel image, a half-classical or witness input, a dephased state,
+    a commuting pair).  from_psd takes the Hermitian part and divides by
+    its trace, so an image whose trace is off by a channel's accepted
+    residual (up to TP_ATOL) is normalized, not rejected at TRACE_ATOL.
     """
 
     __slots__ = ("dim", "mat")
@@ -174,13 +173,15 @@ def make_half_classical(
 
     weights must form a probability vector, basis_b an orthonormal set of
     column vectors on B (at most dim_b of them), cond_a a matching list of
-    density matrices on A.
+    density matrices on A.  The parts are checked; their mixture is only
+    normalized (from_psd).
     """
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("weights must be a nonempty vector")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
         raise ValueError("weights must be nonnegative and sum to 1")
+    p = np.clip(p, 0.0, None)
     basis = check_orthonormal(basis_b)
     dim_b = basis.shape[0]
     if basis.shape[1] != p.size or len(cond_a) != p.size:
@@ -195,7 +196,7 @@ def make_half_classical(
     # joint[(k, a), (l, b)] = sum_i p_i cond_i[k, l] b_i[a] conj(b_i[b])
     joint = np.einsum("i,ikl,ai,bi->kalb", p, cond, basis, basis.conj())
     n = dim_a * dim_b
-    return BipartiteState(dim_a, dim_b, DensityMatrix(joint.reshape(n, n)))
+    return BipartiteState(dim_a, dim_b, DensityMatrix.from_psd(joint.reshape(n, n)))
 
 
 def block_decompose(state: BipartiteState) -> np.ndarray:
@@ -237,7 +238,7 @@ def measure_and_dephase(state: BipartiteState, basis_b: np.ndarray) -> Bipartite
     """Project B onto an orthonormal basis: sum_j (I (x) P_j) rho (I (x) P_j).
 
     Idempotent; leaves a classical-on-B state unchanged when measured in its
-    own basis.
+    own basis.  A pinched state is a state, so it is only normalized.
     """
     basis = check_orthonormal(basis_b)
     if basis.shape != (state.dim_b, state.dim_b):
@@ -246,4 +247,4 @@ def measure_and_dephase(state: BipartiteState, basis_b: np.ndarray) -> Bipartite
     # every block B_kl goes to basis diag(bt B_kl basis) bt
     diag = np.diagonal(bt @ block_decompose(state) @ basis, axis1=-2, axis2=-1)
     out = (basis * diag[..., None, :]) @ bt
-    return BipartiteState(state.dim_a, state.dim_b, DensityMatrix(reassemble_blocks(out)))
+    return BipartiteState(state.dim_a, state.dim_b, DensityMatrix.from_psd(reassemble_blocks(out)))

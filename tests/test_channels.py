@@ -119,27 +119,56 @@ class TestApplyLocalB:
 class TestAdjoint:
     def test_unitary_adjoint(self, rng):
         u = haar_unitary(3, rng)
-        adj = chn.unitary_channel(u).adjoint()
-        assert np.allclose(adj.ops[0], u.conj().T)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        out = chn.unitary_channel(u).apply_adjoint(m)
+        assert np.allclose(out, u.conj().T @ m @ u, atol=1e-12)
 
     def test_adjoint_of_unital_is_tp_and_unital(self, rng):
+        # the daggered Kraus list of a unital channel passes the TP check
         w = np.array([0.3, 0.7])
         ch = chn.unital_mixture(w, [haar_unitary(3, rng) for _ in range(2)])
-        adj = ch.adjoint()
+        adj = chn.KrausChannel(ch.ops.conj().transpose(0, 2, 1))
         d = ch.dim
-        tp = np.einsum("kji,kjl->il", adj.ops.conj(), adj.ops)
-        assert linalg.frobenius(tp - np.eye(d)) < 1e-12
         assert linalg.frobenius(adj.apply_matrix(np.eye(d)) - np.eye(d)) < 1e-12
+        assert linalg.frobenius(ch.apply_adjoint(np.eye(d)) - np.eye(d)) < 1e-12
+        rho = random_density(d, rng).mat
+        assert np.array_equal(adj.apply_matrix(rho), ch.apply_adjoint(rho))
+
+    def test_adjoint_kraus_of_non_unital_rejected(self, rng):
+        for d in (2, 3, 4):
+            ch = random_cptp(d, rng)
+            with pytest.raises(ValueError, match="not trace preserving"):
+                chn.KrausChannel(ch.ops.conj().transpose(0, 2, 1))
 
     def test_duality_identity(self, rng):
         ch = random_cptp(3, rng)
-        adj = ch.adjoint()
         for _ in range(100):
             a = random_density(3, rng).mat
             b = random_density(3, rng).mat
             lhs = np.trace(a @ ch.apply_matrix(b))
-            rhs = np.trace(adj.apply_matrix(a) @ b)
-            assert abs(lhs - rhs) < 1e-10
+            rhs = np.trace(ch.apply_adjoint(a) @ b)
+            assert abs(lhs - rhs) < 1e-12
+
+    def test_stack_equals_sum_and_keeps_true_trace(self):
+        rng = rng_from_seed(3)
+        ch = random_cptp(3, rng)
+        stack = np.stack([random_density(3, rng).mat for _ in range(6)])
+        out = ch.apply_adjoint(stack)
+        assert out.shape == (6, 3, 3)
+        for m, o in zip(stack, out):
+            ref = sum(e.conj().T @ m @ e for e in ch.ops)
+            assert np.allclose(o, ref, atol=1e-14)
+            # L* is not trace preserving: its image is not renormalized
+            assert abs(np.trace(o) - np.trace(ref)) < 1e-14
+            assert abs(np.trace(o) - 1.0) > 1e-3
+        b = random_density(3, rng).mat
+        lhs = np.trace(stack @ ch.apply_matrix(b), axis1=-2, axis2=-1)
+        rhs = np.trace(out @ b, axis1=-2, axis2=-1)
+        assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="3 x 3"):
+            chn.identity_channel(3).apply_adjoint(np.eye(2))
 
 
 class TestChoi:
@@ -283,11 +312,12 @@ class TestUnitalMixture:
 
 
 class TestBlockUnitaryMixture:
-    def test_trace_preserving_and_unital(self, rng):
+    def test_unital_and_tp(self, rng):
         for _ in range(5):
             e = np.sqrt(rng.dirichlet(np.ones(3)))
             ch = chn.block_unitary_mixture(e, [haar_unitary(2, rng) for _ in range(3)])
             assert linalg.frobenius(ch.apply_matrix(np.eye(3)) - np.eye(3)) < 1e-10
+            assert linalg.frobenius(ch.apply_adjoint(np.eye(3)) - np.eye(3)) < 1e-10
 
     def test_single_identity_block_dephases_block_vs_top(self, rng):
         ch = chn.block_unitary_mixture([1.0], [np.eye(2)])

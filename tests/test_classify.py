@@ -426,6 +426,40 @@ class TestCreationWitness:
         with pytest.raises(ValueError, match="orthogonal"):
             classify.witness_from_pair(chn.identity_channel(3), e0, e0)
 
+    @staticmethod
+    def near_orthogonal_pair(overlap: float) -> tuple[np.ndarray, np.ndarray]:
+        # unit vectors to double precision with <phi|psi> = overlap
+        u = haar_unitary(3, rng_from_seed(41))
+        return u[:, 0], u @ np.array([overlap, np.sqrt(1 - overlap**2), 0.0])
+
+    def test_pair_checked_at_one_tolerance(self):
+        phi, psi = self.near_orthogonal_pair(5e-10)
+        assert abs(np.vdot(phi, psi)) == pytest.approx(5e-10, rel=1e-5)
+        w = classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi)
+        assert w.input_state.dim_a == 2 and w.input_state.dim_b == 3
+        assert w.input_quantumness <= 1e-9
+
+    def test_pair_beyond_ortho_atol_rejected(self):
+        phi, psi = self.near_orthogonal_pair(2e-9)
+        with pytest.raises(ValueError, match="orthogonal"):
+            classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi)
+
+    def test_input_is_block_diagonal_pair_mixture(self, rng):
+        for d in (2, 3, 4, 8):
+            phi, psi = random_orthogonal_pure_pair(d, rng)
+            w = classify.witness_from_pair(random_cptp(d, rng), phi, psi)
+            ref = np.zeros((2 * d, 2 * d), dtype=complex)
+            ref[:d, :d] = np.outer(phi, phi.conj()) / 2
+            ref[d:, d:] = np.outer(psi, psi.conj()) / 2
+            assert np.abs(w.input_state.mat - ref).max() <= 1e-15
+            assert w.input_quantumness <= 1e-15
+
+    def test_exact_pair_input_quantumness_is_zero(self):
+        phi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+        psi = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        w = classify.witness_from_pair(chn.identity_channel(3), phi, psi)
+        assert w.input_quantumness == 0.0
+
 
 class TestNoCommonBasisOnStatePath:
     """Classicality verdicts and witnesses never diagonalize the blocks."""

@@ -112,6 +112,37 @@ class TestMakeHalfClassical:
         assert (st.dim_a, st.dim_b) == (da, db)
         assert np.max(np.abs(st.mat - ref)) <= 1e-14
 
+    @staticmethod
+    def validated_construction(p, cond, basis) -> DensityMatrix:
+        # the joint state passed through the validating constructor (one eigh)
+        mats = np.stack([r.mat for r in cond])
+        joint = np.einsum("i,ikl,ai,bi->kalb", p, mats, basis, basis.conj())
+        n = cond[0].dim * basis.shape[0]
+        return DensityMatrix(joint.reshape(n, n))
+
+    @pytest.mark.parametrize("da, db", [(1, 2), (2, 2), (2, 3), (3, 4), (4, 2)])
+    def test_full_rank_equals_validated_construction(self, da, db):
+        rng = rng_from_seed(80 + 10 * da + db)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(db))
+            cond = [random_density(da, rng) for _ in range(db)]
+            basis = haar_unitary(db, rng)
+            ref = self.validated_construction(p, cond, basis)
+            assert ref.spectrum().eigenvalues[0] > 0
+            assert np.array_equal(make_half_classical(p, cond, basis).mat, ref.mat)
+
+    @pytest.mark.parametrize("da, db, terms", [(2, 2, 2), (2, 3, 2), (3, 4, 3), (2, 8, 2)])
+    def test_rank_deficient_within_rounding_of_validated_construction(self, da, db, terms):
+        rng = rng_from_seed(90 + 10 * da + db)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(terms))
+            cond = [random_density(da, rng, rank=1) for _ in range(terms)]
+            basis = haar_unitary(db, rng)[:, :terms]
+            st = make_half_classical(p, cond, basis)
+            ref = self.validated_construction(p, cond, basis)
+            assert np.abs(st.mat - ref.mat).max() <= 1e-15
+            assert st.joint.spectrum().eigenvalues[0] >= -1e-15
+
     def test_round_trip_bulk(self):
         # constructor output always passes the detector
         rng = rng_from_seed(21)
