@@ -57,7 +57,8 @@ from .states import (
 
 CP_TOL = 1e-7
 WITNESS_CONFIRM_FACTOR = 10.0
-ORTHO_ATOL = 1e-9
+# a pair at overlap c gives a witness input of defect <= sqrt(2) c < CLASSICALITY_TOL
+ORTHO_ATOL = 7e-10
 
 LABEL_CD = "completely_decohering"
 LABEL_UNITAL = "unital_mixing"
@@ -468,7 +469,7 @@ def witness_from_pair(
     """
     phi = check_ket(phi)
     psi = check_ket(psi)
-    if abs(np.vdot(phi, psi)) > ORTHO_ATOL:
+    if not abs(np.vdot(phi, psi)) <= ORTHO_ATOL:
         raise ValueError("witness pair must be orthogonal")
     d = phi.size
     joint = np.zeros((2 * d, 2 * d), dtype=complex)

@@ -20,11 +20,12 @@ PSD_CLAMP = 1e-10
 KET_ATOL = 1e-12
 ORTHONORMAL_ATOL = 1e-10
 CLASSICALITY_TOL = 1e-9
+# argument checks read "not x <= tol", so NaN input fails them
 
 
 def check_ket(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > KET_ATOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= KET_ATOL:
         raise ValueError("state vector is not normalized")
     return v
 
@@ -35,7 +36,7 @@ def check_orthonormal(columns: np.ndarray) -> np.ndarray:
     if b.ndim != 2:
         raise ValueError("expected a matrix whose columns are basis vectors")
     gram = b.conj().T @ b
-    if linalg.frobenius(gram - np.eye(b.shape[1])) > ORTHONORMAL_ATOL:
+    if not linalg.frobenius(gram - np.eye(b.shape[1])) <= ORTHONORMAL_ATOL:
         raise ValueError("basis columns are not orthonormal within tolerance")
     return b
 
@@ -179,7 +180,7 @@ def make_half_classical(
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("weights must be a nonempty vector")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
         raise ValueError("weights must be nonnegative and sum to 1")
     p = np.clip(p, 0.0, None)
     basis = check_orthonormal(basis_b)

@@ -129,8 +129,9 @@ class TestAdjoint:
         ch = chn.unital_mixture(w, [haar_unitary(3, rng) for _ in range(2)])
         adj = chn.KrausChannel(ch.ops.conj().transpose(0, 2, 1))
         d = ch.dim
+        tp = np.einsum("kji,kjl->il", adj.ops.conj(), adj.ops)
+        assert linalg.frobenius(tp - np.eye(d)) < 1e-12
         assert linalg.frobenius(adj.apply_matrix(np.eye(d)) - np.eye(d)) < 1e-12
-        assert linalg.frobenius(ch.apply_adjoint(np.eye(d)) - np.eye(d)) < 1e-12
         rho = random_density(d, rng).mat
         assert np.array_equal(adj.apply_matrix(rho), ch.apply_adjoint(rho))
 

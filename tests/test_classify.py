@@ -437,12 +437,28 @@ class TestCreationWitness:
         assert abs(np.vdot(phi, psi)) == pytest.approx(5e-10, rel=1e-5)
         w = classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi)
         assert w.input_state.dim_a == 2 and w.input_state.dim_b == 3
-        assert w.input_quantumness <= 1e-9
+        assert is_classical_on_b(w.input_state).is_classical_on_b
 
-    def test_pair_beyond_ortho_atol_rejected(self):
-        phi, psi = self.near_orthogonal_pair(2e-9)
+    @pytest.mark.parametrize("overlap", [9e-10, 2e-9])
+    def test_pair_beyond_ortho_atol_rejected(self, overlap):
+        # at 9e-10 the input defect sqrt(2) * 9e-10 would exceed CLASSICALITY_TOL
+        phi, psi = self.near_orthogonal_pair(overlap)
         with pytest.raises(ValueError, match="orthogonal"):
             classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi)
+
+    def test_every_accepted_pair_gives_classical_input(self):
+        ch = random_cptp(3, rng_from_seed(42))
+        for overlap in (1e-10, 3e-10, 6e-10, classify.ORTHO_ATOL * (1 - 1e-6)):
+            phi, psi = self.near_orthogonal_pair(overlap)
+            w = classify.witness_from_pair(ch, phi, psi)
+            rep = is_classical_on_b(w.input_state)
+            assert rep.is_classical_on_b
+            assert rep.quantumness == pytest.approx(np.sqrt(2) * overlap, rel=1e-5)
+
+    def test_nan_ket_rejected(self):
+        phi = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            classify.witness_from_pair(chn.identity_channel(3), phi, np.array([0.0, np.nan, 0.0]))
 
     def test_input_is_block_diagonal_pair_mixture(self, rng):
         for d in (2, 3, 4, 8):

@@ -65,6 +65,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(m)
 
+    def test_pure_rejects_nan_ket(self):
+        with pytest.raises(ValueError, match="normalized"):
+            DensityMatrix.pure(np.array([1.0, np.nan]))
+
     def test_pure_and_mixed_entropy(self):
         assert DensityMatrix.pure(E0).entropy() == 0.0
         assert DensityMatrix.maximally_mixed(4).entropy() == pytest.approx(2.0)
@@ -93,6 +97,16 @@ class TestMakeHalfClassical:
 
     def test_rejects_non_orthonormal_basis(self):
         basis = np.column_stack([E0, PLUS])
+        with pytest.raises(ValueError, match="orthonormal"):
+            make_half_classical([0.5, 0.5], [DensityMatrix.pure(E0)] * 2, basis)
+
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValueError, match="weights"):
+            make_half_classical([np.nan, 0.5], [DensityMatrix.pure(E0)] * 2, np.eye(2))
+
+    def test_rejects_nan_basis(self):
+        basis = np.eye(2)
+        basis[1, 1] = np.nan
         with pytest.raises(ValueError, match="orthonormal"):
             make_half_classical([0.5, 0.5], [DensityMatrix.pure(E0)] * 2, basis)
 
@@ -311,6 +325,12 @@ class TestMeasureAndDephase:
         st = random_bipartite(2, 3, rng)
         with pytest.raises(ValueError):
             measure_and_dephase(st, haar_unitary(3, rng)[:, :2])
+
+    def test_rejects_nan_basis(self):
+        basis = np.eye(2)
+        basis[0, 1] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            measure_and_dephase(bell_state(), basis)
 
 
 class TestGridOracleCalibration:
