@@ -17,19 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels, linalg
-from .states import BipartiteState, DensityMatrix
+from .states import BipartiteState, DensityMatrix, block_decompose, reassemble_blocks
+from .states import check_orthonormal, check_probability
 
 TP_ATOL = 1e-9
 CHOI_PSD_ATOL = 1e-8
 KRAUS_DROP_TOL = 1e-12
-UNITARY_ATOL = 1e-9
-
-
-def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return linalg.frobenius(u.conj().T @ u - np.eye(u.shape[0])) <= atol * (1 + u.shape[0])
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:
@@ -108,10 +101,8 @@ class KrausChannel:
         """(I_A (x) L)(rho_AB); acts blockwise as C_kl -> L(C_kl)."""
         if state.dim_b != self.dim:
             raise ValueError(f"channel dimension {self.dim} != dim_b {state.dim_b}")
-        da, db = state.dim_a, state.dim_b
-        blocks = state.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3)  # blocks[k, l] = C_kl
-        out = kernels.apply_kraus(self.ops, blocks).transpose(0, 2, 1, 3)
-        return BipartiteState(da, db, DensityMatrix.from_psd(out.reshape(da * db, da * db)))
+        out = reassemble_blocks(kernels.apply_kraus(self.ops, block_decompose(state)))
+        return BipartiteState(state.dim_a, state.dim_b, DensityMatrix.from_psd(out))
 
     def unit_images(self) -> np.ndarray:
         """The superoperator as a (d, d, d, d) array: [i, j] holds L(E_ij).
@@ -185,9 +176,7 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
-    return KrausChannel([np.asarray(u, dtype=complex)], kind="unitary")
+    return KrausChannel([check_orthonormal(u)], kind="unitary")
 
 
 def isotropic_p_range(d: int, gamma: str) -> tuple[float, float]:
@@ -210,9 +199,7 @@ def isotropic_choi(d: int, p: float, gamma: str = "unitary", u: np.ndarray | Non
     """Choi matrix of p Gamma(rho) + (1-p) I/d for any real p (no PSD check)."""
     if u is None:
         u = np.eye(d, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
-        raise ValueError("u must be unitary")
+    u = check_orthonormal(u)
     if gamma == "unitary":
         vec = u.reshape(-1) / np.sqrt(d)  # (u (x) I)|Phi+> in row-major layout
         jg = np.outer(vec, vec.conj())
@@ -271,8 +258,12 @@ def isotropic_boundary(
 
     side='lower' finds the negative-p crossing, side='upper' the positive-p
     one.  The minimum Choi eigenvalue is concave in p and positive at p = 0,
-    so each side has exactly one sign change.
+    so each side has exactly one sign change.  tol must be finite and
+    positive; the bisection also ends once the midpoint rounds to an endpoint.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
     def f(p: float) -> float:
         return min_choi_eigenvalue(isotropic_choi(d, p, gamma, u))
 
@@ -285,6 +276,8 @@ def isotropic_boundary(
         raise ValueError("no crossing in the bracket")
     while abs(outside - inside) > tol:
         mid = 0.5 * (outside + inside)
+        if mid in (outside, inside):
+            break
         if f(mid) < 0:
             outside = mid
         else:
@@ -304,8 +297,6 @@ def completely_decohering(basis: np.ndarray, povm: Sequence[np.ndarray]) -> Krau
     Every output is diagonal in the given basis, so all outputs commute.
     Kraus operators are |b_i><f_im| with F_i = sum_m |f_im><f_im|.
     """
-    from .states import check_orthonormal
-
     b = check_orthonormal(basis)
     d = b.shape[0]
     if b.shape[1] != len(povm):
@@ -330,17 +321,10 @@ def completely_decohering(basis: np.ndarray, povm: Sequence[np.ndarray]) -> Krau
 
 def unital_mixture(weights, unitaries: Sequence[np.ndarray]) -> KrausChannel:
     """Random-unitary channel sum_i w_i U_i rho U_i^dag (always unital)."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != len(unitaries) or w.size == 0:
-        raise ValueError("weights and unitaries must have matching nonzero length")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-10:
-        raise ValueError("weights must be a probability vector")
-    ops = []
-    for wi, u in zip(w, unitaries):
-        u = np.asarray(u, dtype=complex)
-        if not is_unitary(u):
-            raise ValueError("mixture member is not unitary within tolerance")
-        ops.append(np.sqrt(wi) * u)
+    w = check_probability(weights)
+    if w.size != len(unitaries):
+        raise ValueError("weights and unitaries must have matching length")
+    ops = [np.sqrt(wi) * check_orthonormal(u) for wi, u in zip(w, unitaries)]
     return KrausChannel(ops, kind="unital_mixture", params={"weights": w})
 
 
@@ -356,16 +340,18 @@ def block_unitary_mixture(e_weights, block_unitaries: Sequence[np.ndarray]) -> K
     non-commuting outputs.
     """
     e = np.asarray(e_weights, dtype=float)
-    if e.ndim != 1 or e.size != len(block_unitaries) or e.size == 0:
-        raise ValueError("e_weights and block_unitaries must have matching nonzero length")
-    if e.min() < 0 or abs(np.sum(e**2) - 1.0) > 1e-10:
-        raise ValueError("e_weights must be nonnegative with squares summing to 1")
+    check_probability(e**2, "squares of e_weights")
+    if not e.min() >= 0:
+        raise ValueError("e_weights must be nonnegative")
+    if e.size != len(block_unitaries):
+        raise ValueError("e_weights and block_unitaries must have matching length")
     blocks = [np.asarray(v, dtype=complex) for v in block_unitaries]
     db = blocks[0].shape[0]
     d = db + 1
     for v in blocks:
-        if v.shape != (db, db) or not is_unitary(v):
+        if v.shape != (db, db):
             raise ValueError("block members must be unitaries of one common dimension")
+        check_orthonormal(v)
     top = np.zeros((d, d), dtype=complex)
     top[d - 1, d - 1] = 1.0
     ops = [top]

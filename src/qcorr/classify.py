@@ -49,16 +49,16 @@ from .sampling import (
     substream,
 )
 from .states import (
+    ORTHONORMAL_ATOL,
     BipartiteState,
     DensityMatrix,
-    check_ket,
+    check_orthonormal,
     is_classical_on_b,
+    make_half_classical,
 )
 
 CP_TOL = 1e-7
 WITNESS_CONFIRM_FACTOR = 10.0
-# a pair at overlap c gives a witness input of defect <= sqrt(2) c < CLASSICALITY_TOL
-ORTHO_ATOL = 7e-10
 
 LABEL_CD = "completely_decohering"
 LABEL_UNITAL = "unital_mixing"
@@ -464,18 +464,13 @@ def witness_from_pair(
 ) -> CreationWitness:
     """Build and check the two-term witness state for a given orthogonal pair.
 
-    The pair is checked once (unit norms, |<phi|psi>| <= ORTHO_ATOL); the
-    block-diagonal input is then only normalized (from_psd).
+    The input is make_half_classical([1/2, 1/2], [|0><0|, |1><1|], [phi psi]),
+    so the pair is checked there, as an orthonormal set.
     """
-    phi = check_ket(phi)
-    psi = check_ket(psi)
-    if not abs(np.vdot(phi, psi)) <= ORTHO_ATOL:
-        raise ValueError("witness pair must be orthogonal")
-    d = phi.size
-    joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    joint[:d, :d] = np.outer(phi, phi.conj()) / 2
-    joint[d:, d:] = np.outer(psi, psi.conj()) / 2
-    state = BipartiteState(2, d, DensityMatrix.from_psd(joint))
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    cond = [DensityMatrix.pure(e) for e in np.eye(2)]
+    state = make_half_classical([0.5, 0.5], cond, np.column_stack([phi, psi]))
     out = channel.apply_local_b(state)
     in_rep = is_classical_on_b(state)
     out_rep = is_classical_on_b(out)
@@ -499,7 +494,7 @@ def block_overlap(phi: np.ndarray, psi: np.ndarray) -> complex:
 
 
 def block_overlap_enables_creation(
-    phi: np.ndarray, psi: np.ndarray, tol: float = ORTHO_ATOL
+    phi: np.ndarray, psi: np.ndarray, tol: float = ORTHONORMAL_ATOL
 ) -> bool:
     """Can a generic block-unitary mixture create correlation from this pair?
 
@@ -511,10 +506,7 @@ def block_overlap_enables_creation(
     an orthogonal unit pair can never both saturate norm one, so the
     proportional case is the honest reading of "overlap one").
     """
-    phi = check_ket(phi)
-    psi = check_ket(psi)
-    if abs(np.vdot(phi, psi)) > ORTHO_ATOL:
-        raise ValueError("pair must be orthogonal")
+    phi, psi = check_orthonormal(np.column_stack([phi, psi])).T
     g = abs(block_overlap(phi, psi))
     prod = float(np.linalg.norm(phi[:-1]) * np.linalg.norm(psi[:-1]))
     return g > tol and abs(g - prod) > tol
@@ -711,10 +703,11 @@ def _label(
     unital, then completely decohering at d = 2; completely decohering, then
     isotropic at d >= 3.  Every detector judges closeness to its family at
     the decision's tol, so one threshold decides the label and the verdict
-    it is checked against.  The preservation decision always runs; a
-    channel with no family label is a creator when it violates and
-    unclassified otherwise.
+    it is checked against.  The preservation decision always runs, first, so
+    its tol and budget checks run before any detector; a channel with no
+    family label is a creator when it violates and unclassified otherwise.
     """
+    cp = is_commutativity_preserving(channel, budget=budget, tol=tol)
     basis = iso = label = None
     if channel.dim == 2 and is_unital(channel, tol):
         label = LABEL_UNITAL
@@ -722,7 +715,6 @@ def _label(
         label = LABEL_CD
     elif channel.dim >= 3 and (iso := fit_isotropic(channel, tol=tol)) is not None:
         label = LABEL_ISOTROPIC
-    cp = is_commutativity_preserving(channel, budget=budget, tol=tol)
     if label is None:
         label = LABEL_UNKNOWN if cp.preserving else LABEL_CREATOR
     return label, basis, iso, cp

@@ -5,6 +5,10 @@ sum_i p_i rho_A^i (x) |b_i><b_i| for some orthonormal basis {|b_i>} of B,
 equivalently when some von Neumann measurement on B leaves it untouched.
 The detector works on the B-side blocks C_kl = <k|_A rho |l>_A: the state is
 classical on B iff every block is normal and all blocks pairwise commute.
+
+Every input check of the library lives here, one function and one tolerance
+per property: check_ket, check_orthonormal (bases, pairs and unitaries) and
+check_probability (weight vectors).
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from . import linalg
 TRACE_ATOL = 1e-10
 PSD_CLAMP = 1e-10
 KET_ATOL = 1e-12
-ORTHONORMAL_ATOL = 1e-10
+# max |B^dag B - I| entry: the normalized defect of a make_half_classical state
+# is at most sqrt(2) times the largest overlap, below CLASSICALITY_TOL
+ORTHONORMAL_ATOL = 7e-10
 CLASSICALITY_TOL = 1e-9
 # argument checks read "not x <= tol", so NaN input fails them
 
@@ -31,14 +37,25 @@ def check_ket(v: np.ndarray) -> np.ndarray:
 
 
 def check_orthonormal(columns: np.ndarray) -> np.ndarray:
-    """Validate that the columns of a matrix are orthonormal (Gram residual)."""
+    """Check max |B^dag B - I| <= ORTHONORMAL_ATOL; on a square B that means unitary."""
     b = np.asarray(columns, dtype=complex)
     if b.ndim != 2:
         raise ValueError("expected a matrix whose columns are basis vectors")
     gram = b.conj().T @ b
-    if not linalg.frobenius(gram - np.eye(b.shape[1])) <= ORTHONORMAL_ATOL:
-        raise ValueError("basis columns are not orthonormal within tolerance")
+    if not np.abs(gram - np.eye(b.shape[1])).max(initial=0.0) <= ORTHONORMAL_ATOL:
+        raise ValueError("columns are not orthonormal (not normalized or not orthogonal) "
+                         f"within {ORTHONORMAL_ATOL:.0e}")
     return b
+
+
+def check_probability(p, name: str = "weights") -> np.ndarray:
+    """Check entries >= -1e-12 summing to 1 within 1e-10; clip the negatives to 0."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"{name} must be a nonempty vector")
+    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
+        raise ValueError(f"{name} must be a probability vector: nonnegative, summing to 1")
+    return np.clip(p, 0.0, None)
 
 
 class DensityMatrix:
@@ -177,12 +194,7 @@ def make_half_classical(
     density matrices on A.  The parts are checked; their mixture is only
     normalized (from_psd).
     """
-    p = np.asarray(weights, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("weights must be a nonempty vector")
-    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
-        raise ValueError("weights must be nonnegative and sum to 1")
-    p = np.clip(p, 0.0, None)
+    p = check_probability(weights)
     basis = check_orthonormal(basis_b)
     dim_b = basis.shape[0]
     if basis.shape[1] != p.size or len(cond_a) != p.size:

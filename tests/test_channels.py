@@ -241,6 +241,15 @@ class TestIsotropic:
             assert chn.isotropic_boundary(d, "unitary", "upper", u) == pytest.approx(1.0, abs=1e-8)
             assert chn.isotropic_boundary(d, "unitary", "lower", u) == pytest.approx(-1 / (d * d - 1), abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    def test_boundary_rejects_malformed_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            chn.isotropic_boundary(2, "unitary", "lower", tol=tol)
+
+    def test_boundary_tolerance_below_float_spacing(self):
+        # the bisection stops once the midpoint rounds to an endpoint
+        assert chn.isotropic_boundary(2, "unitary", "lower", tol=1e-300) == pytest.approx(-1 / 3, abs=1e-15)
+
     def test_commutator_scaling(self, rng):
         # [L(x), L(y)] = p^2 Gamma-image of [x, y] for the unitary case
         u = haar_unitary(3, rng)
@@ -311,6 +320,15 @@ class TestUnitalMixture:
         with pytest.raises(ValueError, match="probability"):
             chn.unital_mixture([0.6, 0.6], [haar_unitary(2, rng)] * 2)
 
+    def test_tiny_negative_weight_clipped(self):
+        ch = chn.unital_mixture([-1e-13, 1 + 1e-13], [np.eye(2), SZ])
+        assert np.array_equal(ch.ops[0], np.zeros((2, 2)))
+        assert np.array_equal(ch.params["weights"], [0.0, 1 + 1e-13])
+
+    def test_nan_weights(self):
+        with pytest.raises(ValueError, match="weights.*probability"):
+            chn.unital_mixture([np.nan, 0.5], [np.eye(2), SZ])
+
 
 class TestBlockUnitaryMixture:
     def test_unital_and_tp(self, rng):
@@ -331,6 +349,10 @@ class TestBlockUnitaryMixture:
     def test_weight_normalization_enforced(self, rng):
         with pytest.raises(ValueError, match="squares"):
             chn.block_unitary_mixture([0.9, 0.9], [np.eye(2), haar_unitary(2, rng)])
+
+    def test_nan_weights(self):
+        with pytest.raises(ValueError, match="weights.*probability"):
+            chn.block_unitary_mixture([np.nan, 0.5], [np.eye(2), np.eye(2)])
 
 
 class TestHalfClassicalPreservation:

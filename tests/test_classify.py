@@ -27,7 +27,13 @@ from qcorr.sampling import (
     rng_from_seed,
     substream,
 )
-from qcorr.states import BipartiteState, DensityMatrix, is_classical_on_b
+from qcorr.states import (
+    ORTHONORMAL_ATOL,
+    BipartiteState,
+    DensityMatrix,
+    is_classical_on_b,
+    make_half_classical,
+)
 
 
 def rotation2(angle: float) -> np.ndarray:
@@ -446,9 +452,24 @@ class TestCreationWitness:
         with pytest.raises(ValueError, match="orthogonal"):
             classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi)
 
+    @pytest.mark.parametrize("overlap, accepted", [(5e-10, True), (9e-10, False)])
+    def test_witness_and_half_classical_accept_the_same_pairs(self, overlap, accepted):
+        phi, psi = self.near_orthogonal_pair(overlap)
+        cond = [DensityMatrix.pure(e) for e in np.eye(2)]
+        builders = (
+            lambda: classify.witness_from_pair(random_cptp(3, rng_from_seed(42)), phi, psi),
+            lambda: make_half_classical([0.5, 0.5], cond, np.column_stack([phi, psi])),
+        )
+        for build in builders:
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError, match="orthogonal"):
+                    build()
+
     def test_every_accepted_pair_gives_classical_input(self):
         ch = random_cptp(3, rng_from_seed(42))
-        for overlap in (1e-10, 3e-10, 6e-10, classify.ORTHO_ATOL * (1 - 1e-6)):
+        for overlap in (1e-10, 3e-10, 6e-10, ORTHONORMAL_ATOL * (1 - 1e-6)):
             phi, psi = self.near_orthogonal_pair(overlap)
             w = classify.witness_from_pair(ch, phi, psi)
             rep = is_classical_on_b(w.input_state)
@@ -680,6 +701,17 @@ class TestIsotropicFit:
 
 
 class TestClassifiers:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_tolerance_rejected_before_detectors(self, d):
+        ch = random_cptp(d, rng_from_seed(3))
+        classifier = classify.classify_qubit if d == 2 else classify.classify_qutrit
+        for run in (
+            lambda: classifier(ch, tol=float("nan")),
+            lambda: classify.scan_channels(d, 2, seed=1, tol=float("nan")),
+        ):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                run()
+
     def test_phase_flip_is_unital_mixing(self):
         sz = np.diag([1.0, -1.0]).astype(complex)
         ch = chn.unital_mixture([0.5, 0.5], [np.eye(2), sz])

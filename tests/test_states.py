@@ -18,6 +18,8 @@ from qcorr.sampling import (
     rng_from_seed,
 )
 from qcorr.states import (
+    CLASSICALITY_TOL,
+    ORTHONORMAL_ATOL,
     BipartiteState,
     DensityMatrix,
     block_decompose,
@@ -156,6 +158,37 @@ class TestMakeHalfClassical:
             ref = self.validated_construction(p, cond, basis)
             assert np.abs(st.mat - ref.mat).max() <= 1e-15
             assert st.joint.spectrum().eigenvalues[0] >= -1e-15
+
+    @staticmethod
+    def edge_basis(db: int, n: int, rng) -> np.ndarray:
+        # n columns on B with Gram matrix I + delta, every |delta| entry just
+        # below ORTHONORMAL_ATOL: off-diagonal overlaps at the edge with
+        # random phases, diagonal norms off by up to the edge
+        target = ORTHONORMAL_ATOL * (1 - 1e-3)
+        delta = np.triu(target * np.exp(2j * np.pi * rng.random((n, n))), 1)
+        delta += delta.conj().T + np.diag(rng.uniform(-target, target, n))
+        w, v = np.linalg.eigh(np.eye(n) + delta)
+        return haar_unitary(db, rng)[:, :n] @ (v * np.sqrt(w)) @ v.conj().T
+
+    @pytest.mark.parametrize("db", [2, 3, 4])
+    def test_bases_at_tolerance_edge_give_classical_states(self, db):
+        # the defect of sum_i p_i rho_i (x) |b_i><b_i| is at most sqrt(2) times
+        # the largest Gram defect to first order (sqrt(2) ORTHONORMAL_ATOL <
+        # CLASSICALITY_TOL); orthogonal pure A states with equal weights reach it
+        rng = rng_from_seed(110 + db)
+        for n in range(2, db + 1):
+            for _ in range(50):
+                basis = self.edge_basis(db, n, rng)
+                gram_defect = np.abs(basis.conj().T @ basis - np.eye(n)).max()
+                assert ORTHONORMAL_ATOL * (1 - 2e-3) < gram_defect < ORTHONORMAL_ATOL
+                da = int(rng.integers(1, 4))
+                random_input = (rng.dirichlet(np.ones(n)), [random_density(da, rng) for _ in range(n)])
+                worst_input = (np.full(n, 1 / n), [DensityMatrix.pure(e) for e in np.eye(n)])
+                for p, cond in (random_input, worst_input):
+                    rep = is_classical_on_b(make_half_classical(p, cond, basis))
+                    assert rep.is_classical_on_b
+                # the worst input's blocks have unit-scale norms, so rounding stays ~1e-7 relative
+                assert rep.quantumness <= np.sqrt(2) * gram_defect * (1 + 1e-6) < CLASSICALITY_TOL
 
     def test_round_trip_bulk(self):
         # constructor output always passes the detector
