@@ -6,9 +6,9 @@ equivalently when some von Neumann measurement on B leaves it untouched.
 The detector works on the B-side blocks C_kl = <k|_A rho |l>_A: the state is
 classical on B iff every block is normal and all blocks pairwise commute.
 
-Every input check of the library lives here, one function and one tolerance
-per property: check_ket, check_orthonormal (bases, pairs and unitaries) and
-check_probability (weight vectors).
+Kets, orthonormal sets and weight vectors from callers are checked here, one
+function and one tolerance per property: check_ket, check_orthonormal (bases,
+pairs and unitaries) and check_probability.
 """
 
 from __future__ import annotations
