@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .states import BipartiteState, DensityMatrix, block_decompose, reassemble_blocks
-from .states import check_orthonormal, check_probability
+from .states import check_orthonormal, check_probability, check_tolerance
 
 TP_ATOL = 1e-9
 CHOI_PSD_ATOL = 1e-8
@@ -35,11 +35,12 @@ def maximally_entangled_ket(d: int) -> np.ndarray:
 class KrausChannel:
     """A channel given by Kraus operators {E_i} acting as sum_i E_i rho E_i^dag.
 
-    Always trace preserving: the constructor rejects any Kraus list with
-    ||sum_i E_i^dag E_i - I||_F > TP_ATOL.  Any Kraus list is completely
-    positive: its Choi matrix is a Gram matrix.  The adjoint map, which is
-    trace preserving only for unital channels, is an action (apply_adjoint),
-    not a channel.
+    Always trace preserving: the constructor rejects any Kraus list with an
+    entry of |sum_i E_i^dag E_i - I| above TP_ATOL, the entrywise form of
+    check_orthonormal, so every unitary that check accepts is a channel.
+    Any Kraus list is completely positive: its Choi matrix is a Gram matrix.
+    The adjoint map, which is trace preserving only for unital channels, is
+    an action (apply_adjoint), not a channel.
     kind/params carry optional constructor metadata for serialization.
     """
 
@@ -52,16 +53,16 @@ class KrausChannel:
         kind: str | None = None,
         params: dict | None = None,
     ):
-        arr = np.array([np.asarray(e, dtype=complex) for e in ops])
+        arr = np.array(ops, dtype=complex, order="C")
         if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
             raise ValueError("need a nonempty list of square matrices of one dimension")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("Kraus operators contain non-finite entries")
         d = arr.shape[1]
-        resid = linalg.frobenius(np.einsum("kji,kjl->il", arr.conj(), arr) - np.eye(d))
-        if resid > TP_ATOL:
+        resid = np.abs(np.einsum("kji,kjl->il", arr.conj(), arr) - np.eye(d)).max()
+        if not resid <= TP_ATOL:
             raise ValueError(
-                f"not trace preserving: ||sum E^dag E - I||_F = {resid:.3e} > {TP_ATOL:.0e}"
+                f"not trace preserving: max |sum E^dag E - I| = {resid:.3e} > {TP_ATOL:.0e}"
             )
         self.ops = arr
         self.ops.setflags(write=False)
@@ -261,8 +262,7 @@ def isotropic_boundary(
     so each side has exactly one sign change.  tol must be finite and
     positive; the bisection also ends once the midpoint rounds to an endpoint.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tolerance(tol)
 
     def f(p: float) -> float:
         return min_choi_eigenvalue(isotropic_choi(d, p, gamma, u))
@@ -301,7 +301,6 @@ def completely_decohering(basis: np.ndarray, povm: Sequence[np.ndarray]) -> Krau
     d = b.shape[0]
     if b.shape[1] != len(povm):
         raise ValueError("need one POVM element per basis vector")
-    total = np.zeros((d, d), dtype=complex)
     ops = []
     for i, f in enumerate(povm):
         f = np.asarray(f, dtype=complex)
@@ -310,12 +309,10 @@ def completely_decohering(basis: np.ndarray, povm: Sequence[np.ndarray]) -> Krau
         spec = linalg.hermitian_eig(f)
         if float(spec.eigenvalues[0]) < -1e-10:
             raise ValueError(f"POVM element {i} is not PSD")
-        total += f
         for w, v in zip(spec.eigenvalues, spec.eigenvectors.T):
             if w > KRAUS_DROP_TOL:
                 ops.append(np.outer(b[:, i], np.sqrt(w) * v.conj()))
-    if linalg.frobenius(total - np.eye(d)) > TP_ATOL:
-        raise ValueError("POVM elements do not sum to the identity")
+    # sum_i F_i = I is the channel's trace preservation, checked by KrausChannel
     return KrausChannel(ops, kind="completely_decohering")
 
 

@@ -53,6 +53,7 @@ from .states import (
     BipartiteState,
     DensityMatrix,
     check_orthonormal,
+    check_tolerance,
     is_classical_on_b,
     make_half_classical,
 )
@@ -194,13 +195,11 @@ def is_commutativity_preserving(
     depend only on the channel, budget and tol.  A violation is a proof; a
     search pass whose bound exceeds tol only says none was found within the
     budget.
-    tol must be finite and positive: a zero, negative or NaN tol would turn
-    rounding noise into a "proof" of creation, and an infinite one would
-    certify every channel.  budget must be at least 1, because a search
-    evaluates at least one pair.
+    tol must be finite and positive (check_tolerance): an infinite one
+    would certify every channel.  budget must be at least 1, because a
+    search evaluates at least one pair.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tolerance(tol)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     d = channel.dim

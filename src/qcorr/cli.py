@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import secrets
 import sys
@@ -24,6 +23,7 @@ from . import __version__, classify, jsonio, kernels
 from .classify import DEFAULT_BUDGET
 from .sampling import rng_from_seed
 from .selftest import run_selftest
+from .states import check_tolerance
 
 DEFAULT_TOL = classify.CP_TOL
 DEFAULT_SAMPLES = 200
@@ -36,11 +36,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=None,
                             help=f"64-bit {seed}; drawn from entropy (and echoed) if omitted")
         if tol:
-            sp.add_argument("--tol", type=positive_float, default=DEFAULT_TOL,
+            sp.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                             help=("decision tolerance on normalized violations and on every "
                                   f"family test (default {DEFAULT_TOL:g})"))
         if budget:

@@ -1,8 +1,9 @@
 """JSON encodings for matrices, channels, states, witnesses, and reports.
 
 Complex numbers are [re, im] pairs and matrices are row-major nested lists,
-so files are diffable and language neutral.  Values round-trip at full
-double precision (json emits shortest-round-trip decimals).
+so files are language neutral.  Values round-trip at full double precision
+(json emits shortest-round-trip decimals).  dump writes one line of compact
+JSON, which json encodes in C; `python -m json.tool FILE` pretty-prints it.
 
 Channel files:  {"dim": d, "kraus": [matrix, ...], "meta": {"kind": ..., "params": {...}}}
 State files:    {"dimA": dA, "dimB": dB, "matrix": matrix}
@@ -39,7 +40,7 @@ MEASURE_NOTES = (
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj: Any) -> np.ndarray:
@@ -53,7 +54,8 @@ def matrix_from_json(obj: Any) -> np.ndarray:
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
@@ -108,9 +110,16 @@ def channel_from_json(obj: Any) -> KrausChannel:
     dim = _int_field(obj, "dim")
     if not isinstance(obj["kraus"], list):
         raise ValueError("'kraus' must be a list of matrices")
-    ops = [matrix_from_json(k) for k in obj["kraus"]]
-    if any(e.shape != (dim, dim) for e in ops):
+    malformed = "'kraus' must be a nonempty list of equal-size matrices of [re, im] pairs"
+    try:
+        arr = np.asarray(obj["kraus"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(malformed) from exc
+    if arr.ndim != 4 or arr.shape[3] != 2:
+        raise ValueError(malformed)
+    if arr.shape[1:3] != (dim, dim):
         raise ValueError("Kraus matrices do not match the declared dimension")
+    ops = arr[..., 0] + 1j * arr[..., 1]
     meta = _object_field(obj, "meta")
     return KrausChannel(ops, kind=meta.get("kind"), params=_object_field(meta, "params"))
 
@@ -242,7 +251,7 @@ def scan_to_json(report: ScanReport) -> dict:
 
 
 def dump(obj: Any, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    text = json.dumps(obj)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

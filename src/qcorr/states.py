@@ -6,13 +6,15 @@ equivalently when some von Neumann measurement on B leaves it untouched.
 The detector works on the B-side blocks C_kl = <k|_A rho |l>_A: the state is
 classical on B iff every block is normal and all blocks pairwise commute.
 
-Kets, orthonormal sets and weight vectors from callers are checked here, one
-function and one tolerance per property: check_ket, check_orthonormal (bases,
-pairs and unitaries) and check_probability.
+Kets, orthonormal sets, weight vectors and decision tolerances from callers
+are checked here, one function and one tolerance per property: check_ket,
+check_orthonormal (bases, pairs and unitaries), check_probability and
+check_tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,17 @@ def check_probability(p, name: str = "weights") -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def check_tolerance(tol: float) -> float:
+    """Check that a decision tolerance is finite and positive.
+
+    A zero, negative or NaN tol would turn rounding noise into a "proof" of
+    creation, and an infinite one would accept everything.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, PSD.
 
@@ -72,7 +85,7 @@ class DensityMatrix:
     channel image, a half-classical or witness input, a dephased state,
     a commuting pair).  from_psd takes the Hermitian part and divides by
     its trace, so an image whose trace is off by a channel's accepted
-    residual (up to TP_ATOL) is normalized, not rejected at TRACE_ATOL.
+    residual (up to d TP_ATOL) is normalized, not rejected at TRACE_ATOL.
     """
 
     __slots__ = ("dim", "mat")

@@ -10,7 +10,13 @@ from qcorr.sampling import (
     random_half_classical,
     rng_from_seed,
 )
-from qcorr.states import BipartiteState, DensityMatrix, block_decompose, is_classical_on_b
+from qcorr.states import (
+    BipartiteState,
+    DensityMatrix,
+    block_decompose,
+    check_orthonormal,
+    is_classical_on_b,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -34,6 +40,14 @@ class TestValidation:
     def test_subnormalized_rejected(self):
         with pytest.raises(ValueError, match="trace preserving"):
             chn.KrausChannel([SX / np.sqrt(2)])
+
+    def test_every_accepted_unitary_is_a_channel(self):
+        # max |U^dag U - I| = 6e-10 passes check_orthonormal; the Frobenius
+        # residual, 1.7e-9, is above TP_ATOL, so only the entrywise check accepts it
+        u = haar_unitary(8, rng_from_seed(1)) * (1 + 3e-10)
+        check_orthonormal(u)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(8)) > chn.TP_ATOL
+        assert chn.unitary_channel(u).dim == 8
 
     def test_random_sampler_consistent(self, rng):
         for d in (2, 3, 4):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import amplitude_damping
 
+import qcorr
 from qcorr import channels as chn
 from qcorr import jsonio
 from qcorr.channels import maximally_entangled_ket
@@ -199,12 +204,16 @@ class TestMalformedJson:
             ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)), "meta": [1]}),
             ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)),
                           "meta": {"kind": "identity", "params": [1]}}),
+            ("classify", {"dim": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]]}),
+            ("classify", {"dim": 2, "kraus": [[[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]]}),
+            ("classify", {**jsonio.channel_to_json(chn.identity_channel(2)), "dim": 3}),
             ("msf", {**_bell_state_json(), "dimA": None}),
             ("msf", {**_bell_state_json(), "dimB": 2.0}),
             ("msf", {**_bell_state_json(), "dimA": -2, "dimB": -2}),
         ],
         ids=["kraus-not-list", "dim-null", "dim-float", "dim-bool", "meta-not-object",
-             "params-not-object", "dimA-null", "dimB-float", "dims-negative"],
+             "params-not-object", "kraus-ragged", "kraus-three-number-pair",
+             "kraus-wrong-dimension", "dimA-null", "dimB-float", "dims-negative"],
     )
     def test_exit_2(self, files, capsys, command, obj):
         _, write = files
@@ -423,6 +432,22 @@ class TestSelftestCommand:
             main(["selftest", "--seed", "10", "--budget", "100"])
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_qcorr_prints_one_json_line(self):
+        # the directory holding this qcorr package, as PYTHONPATH=src gives from a checkout
+        env = {**os.environ, "PYTHONPATH": str(Path(qcorr.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcorr", "selftest", "--seed", "1", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["command"] == "selftest"
+        assert report["config"]["seed"] == 1
 
 
 class TestDeterminism:

@@ -9,6 +9,43 @@ from qcorr.sampling import random_bipartite, random_cptp
 from qcorr.states import is_classical_on_b
 
 
+def old_matrix_to_json(m):
+    """The per-element encoder the whole-array one replaced."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def old_vector_to_json(v):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+
+# -0.0, the smallest subnormal and a value near the largest double, with signs
+EDGE = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5, 7.0]).reshape(3, 3)
+
+
+def complex_from(re, im):
+    """re + i im without arithmetic, so -0.0 parts survive."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+class TestEncodersMatchPerElementLists:
+    # == reads -0.0 as 0.0, so the JSON texts are compared too
+    def test_matrix_and_vector(self):
+        m = complex_from(EDGE, EDGE[::-1, ::-1])
+        for new, old in [(jsonio.matrix_to_json(m), old_matrix_to_json(m))] + [
+            (jsonio.vector_to_json(row), old_vector_to_json(row)) for row in m
+        ]:
+            assert new == old
+            assert json.dumps(new) == json.dumps(old)
+        text = json.dumps(jsonio.matrix_to_json(m))
+        assert "[-0.0, 7.0]" in text and "[7.0, -0.0]" in text and "5e-324" in text
+
+    def test_real_input(self):
+        assert json.dumps(jsonio.matrix_to_json(EDGE)) == json.dumps(old_matrix_to_json(EDGE))
+        assert json.dumps(jsonio.vector_to_json(EDGE[0])) == json.dumps(old_vector_to_json(EDGE[0]))
+
+
 class TestMatrixRoundTrip:
     def test_exact_round_trip(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -50,6 +87,43 @@ class TestChannelFiles:
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             jsonio.channel_from_json({"kraus": []})
+
+    @pytest.mark.parametrize(
+        "kraus, match",
+        [
+            ([], "nonempty list"),
+            ([[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[1.0, 0.0]]]], "equal-size"),
+            ([[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]], "pairs"),
+            ([[[[1.0, 0.0]]]], "declared dimension"),
+            ([[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "pairs"),
+        ],
+        ids=["empty", "ragged", "three-number-pair", "wrong-dimension", "not-a-number"],
+    )
+    def test_malformed_kraus_rejected(self, kraus, match):
+        with pytest.raises(ValueError, match=match):
+            jsonio.channel_from_json({"dim": 2, "kraus": kraus})
+
+    def test_decoded_ops_equal_per_matrix_decoding(self, rng):
+        ch = random_cptp(4, rng)
+        obj = json.loads(json.dumps(jsonio.channel_to_json(ch)))
+        old = np.array([jsonio.matrix_from_json(k) for k in obj["kraus"]])
+        assert np.array_equal(jsonio.channel_from_json(obj).ops, old)
+        assert np.array_equal(old, ch.ops)
+
+
+class TestDump:
+    def test_creator_report_is_one_line(self, tmp_path):
+        e = np.array([1.0, 1.0]) / np.sqrt(2)
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        block = chn.block_unitary_mixture(e, [np.eye(2), np.array([[c, -s], [s, c]])])
+        obj = jsonio.classification_to_json(classify.classify_channel(block))
+        assert obj["label"] == "creator" and "witness" in obj
+        path = tmp_path / "report.json"
+        text = jsonio.dump(obj, str(path))
+        assert "\n" not in text
+        assert path.read_text() == text + "\n"
+        assert json.loads(text) == obj
+        assert jsonio.load(str(path)) == obj
 
 
 class TestStateFiles:

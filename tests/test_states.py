@@ -23,6 +23,7 @@ from qcorr.states import (
     BipartiteState,
     DensityMatrix,
     block_decompose,
+    check_tolerance,
     is_classical_on_b,
     make_half_classical,
     measure_and_dephase,
@@ -74,6 +75,17 @@ class TestDensityMatrix:
     def test_pure_and_mixed_entropy(self):
         assert DensityMatrix.pure(E0).entropy() == 0.0
         assert DensityMatrix.maximally_mixed(4).entropy() == pytest.approx(2.0)
+
+
+class TestCheckTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12, float("inf"), -float("inf")])
+    def test_rejects_malformed(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            check_tolerance(tol)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-7, 1e308])
+    def test_accepts_finite_positive(self, tol):
+        assert check_tolerance(tol) == tol
 
 
 class TestMakeHalfClassical:
