@@ -268,7 +268,9 @@ def _search_pairs(kraus: np.ndarray, *, budget: int, tol: float) -> tuple[np.nda
     """Best orthonormal pair frame (d, 2) found, evaluations used, and whether the band ran.
 
     Screen: the first min(DEFAULT_STARTS, budget) screen_frames in one
-    batched call.  The screened maximum picks the phase.  At or above
+    batched kernels.pair_violation_grad call, whose gradients the ascent
+    reads for its first step; only frames and f come back from it.  The
+    screened maximum picks the phase.  At or above
     max(100 tol, 1e-3) the winner alone is polished to PAIR_POLISH_RTOL.
     Below it the best PAIR_BAND_FRAMES screened frames (the winner among
     them) ascend together to PAIR_BAND_RTOL, the band, and the winner gets
@@ -303,99 +305,121 @@ def _ascend_pairs(
 ) -> int:
     """Riemannian quasi-Newton ascent of the frames listed in active; returns evaluations.
 
-    frames, f and grad (from kernels.pair_violation_grad) are updated in
-    place.  A frame climbs log f^2, which is scale-free, so a violation
-    near tol moves as fast as a large one.  Its direction is an inverse
-    Hessian estimate applied to the tangent part of the gradient, and it
-    retracts by QR with R's diagonal positive.  The estimate starts at
-    PAIR_STEP times the identity, so the first step is a plain gradient
-    step, and takes a BFGS update from every step taken (tangent vectors
-    move to the new frame by projection).  Plain gradient steps crawl along
-    the nearly flat ridges of eps-perturbed symmetric channels for
-    thousands of steps; the updates learn the ridge's curvature.  The step
-    length starts at 1 and halves when refused; a step that would lower f
-    is never taken.  A taken step grows it by PAIR_STEP_GROW only while the
-    frame is still on a straight stretch: when its gain in log f^2 is at
-    least PAIR_STEP_LINEAR times the first-order prediction step * slope.
-    Otherwise the length stays, because near a maximum the quasi-Newton
-    step of length 1 is the right one and a longer trial is refused.  A
-    frame is done once a taken step gains at most rtol f^2, or once a
-    refused step was too short to gain more than that to first order.
+    frames and f are updated in place; grad (from kernels.pair_violation_grad,
+    with f) is only read, for the first direction.  A frame climbs log f^2,
+    which is scale-free, so a violation near tol moves as fast as a large
+    one.  Its direction is an inverse Hessian estimate applied to the
+    tangent part of the gradient, and it retracts by QR with R's diagonal
+    positive.  The estimate starts at PAIR_STEP times the identity, so the
+    first step is a plain gradient step, and takes a BFGS update from every
+    step taken (tangent vectors move to the new frame by projection).  Plain
+    gradient steps crawl along the nearly flat ridges of eps-perturbed
+    symmetric channels for thousands of steps; the updates learn the ridge's
+    curvature.  The step length starts at 1 and halves when refused; a step
+    that would lower f is never taken.  A taken step grows it by
+    PAIR_STEP_GROW only while the frame is still on a straight stretch: when
+    its gain in log f^2 is at least PAIR_STEP_LINEAR times the first-order
+    prediction step * slope.  Otherwise the length stays, because near a
+    maximum the quasi-Newton step of length 1 is the right one and a longer
+    trial is refused.  A frame is done once a taken step gains at most
+    rtol f^2, or once a refused step was too short to gain more than that
+    to first order.
 
-    The climbing frames live in contiguous local arrays (the log-gradient
-    xi in the real (k, 4d) layout of _real) and are written back to frames,
-    f and grad only when they finish or the budget ends.
+    The climbing frames live in contiguous local arrays (f^2 carried beside
+    f, the log-gradient xi in the real (k, 4d) layout of _real) and are
+    written back to frames and f only when they finish or the budget ends.
+    When every frame's step was taken, the step uses whole arrays: no masks
+    and no gathers.
     """
     k, d = active.size, frames.shape[1]
-    w, fk, g = frames[active], f[active], grad[active]
-    xi = _log_gradient(w, g, fk * fk)
+    w, fk = frames[active], f[active]
+    f2 = fk * fk
+    (xi,) = _log_gradient(w, grad[active], f2)
     hinv = np.broadcast_to(PAIR_STEP * np.eye(4 * d), (k, 4 * d, 4 * d)).copy()
     step = np.ones(k)
 
     def write_back(rows):
-        frames[active[rows]], f[active[rows]], grad[active[rows]] = w[rows], fk[rows], g[rows]
+        frames[active[rows]], f[active[rows]] = w[rows], fk[rows]
 
     evals = 0
     while active.size and evals < budget:
         if active.size > budget - evals:
             cut = budget - evals
             write_back(slice(cut, None))
-            active, w, fk, g, xi, hinv, step = (
-                a[:cut] for a in (active, w, fk, g, xi, hinv, step)
+            active, w, fk, f2, xi, hinv, step = (
+                a[:cut] for a in (active, w, fk, f2, xi, hinv, step)
             )
         k = active.size
-        f2 = fk * fk
         p = _tangent(w, _complex(hinv @ xi[:, :, None]))
         p_real = _real(p)
-        slope = np.einsum("ij,ij->i", p_real, xi)
+        slope = (p_real * xi).sum(axis=-1)
         q = _retract(w + step[:, None, None] * p)
         f_new, g_new = kernels.pair_violation_grad(q, kraus)
         evals += k
-        gain = f_new * f_new - f2
+        f2_new = f_new * f_new
+        gain = f2_new - f2
         take = gain >= 0
         # a taken step's gain in log f^2 against its first-order prediction
-        ratio = np.divide(f_new * f_new, f2, out=np.ones(k), where=take & (f2 > 0))
+        ratio = np.divide(f2_new, f2, out=np.ones(k), where=take & (f2 > 0))
         linear = np.log(ratio) >= PAIR_STEP_LINEAR * step * slope
+        done = np.where(take, gain, step * slope * f2) <= rtol * f2
         moved = np.count_nonzero(take)
         if moved:
-            # a slice, not a mask, when every frame moved: no gathers in the common case
-            sel = slice(None) if moved == k else take
-            q, f_new, g_new = q[sel], f_new[sel], g_new[sel]
-            xi_new = _log_gradient(q, g_new, f_new * f_new)
-            y = _real(_tangent(q, _complex(xi[sel]))) - xi_new
-            hinv[sel] = _bfgs_update(hinv[sel], step[sel, None] * p_real[sel], y)
-            w[sel], fk[sel], g[sel], xi[sel] = q, f_new, g_new, xi_new
-        done = np.where(take, gain, step * slope * f2) <= rtol * f2
-        step = np.where(take, np.where(linear, step * PAIR_STEP_GROW, step), step / 2)
+            # the whole arrays when every frame moved (the common case): no gathers
+            rows = slice(None) if moved == k else take
+            q, f_new, f2_new = q[rows], f_new[rows], f2_new[rows]
+            xi_new, carried = _log_gradient(q, g_new[rows], f2_new, xi[rows])
+            s = step[rows, None] * p_real[rows]
+            hinv_new = _bfgs_update(hinv[rows], s, carried - xi_new)
+            if moved == k:
+                w, fk, f2, xi, hinv = q, f_new, f2_new, xi_new, hinv_new
+            else:
+                w[take], fk[take], f2[take] = q, f_new, f2_new
+                xi[take], hinv[take] = xi_new, hinv_new
+        step = step * np.where(take, np.where(linear, PAIR_STEP_GROW, 1.0), 0.5)
         if np.count_nonzero(done):
             write_back(done)
             keep = ~done
-            active, w, fk, g, xi, hinv, step = (
-                a[keep] for a in (active, w, fk, g, xi, hinv, step)
+            active, w, fk, f2, xi, hinv, step = (
+                a[keep] for a in (active, w, fk, f2, xi, hinv, step)
             )
     write_back(slice(None))
     return evals
 
 
 def _tangent(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Projection of z onto the tangent spaces of the orthonormal frames w."""
+    """Projection of z onto the tangent spaces of the orthonormal frames w.
+
+    z may be a (m, k, d, 2) stack of m vectors per frame of the (k, d, 2) w.
+    """
     wz = w.conj().swapaxes(-1, -2) @ z
     return z - w @ ((wz + wz.conj().swapaxes(-1, -2)) / 2)
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization of (k, d, 2) frames, R's diagonal positive (Gram-Schmidt)."""
+    """Q of the QR factorization of contiguous (k, d, 2) frames, R's diagonal positive.
+
+    Gram-Schmidt, in place: v is overwritten and returned.  The column
+    norms are sums of squares over v's real view.
+    """
     a, b = v[..., 0], v[..., 1]
-    q = np.empty_like(v)
-    q[..., 0] = a = a / np.sqrt((a.conj() * a).real.sum(axis=-1, keepdims=True))
-    b = b - a * (a.conj() * b).sum(axis=-1, keepdims=True)
-    q[..., 1] = b / np.sqrt((b.conj() * b).real.sum(axis=-1, keepdims=True))
-    return q
+    parts = v.view(float)  # (k, d, 4): Re a, Im a, Re b, Im b
+    a /= np.sqrt((parts[..., :2] ** 2).sum(axis=(-2, -1)))[:, None]
+    b -= a * (a.conj() * b).sum(axis=-1, keepdims=True)
+    b /= np.sqrt((parts[..., 2:] ** 2).sum(axis=(-2, -1)))[:, None]
+    return v
 
 
-def _log_gradient(w: np.ndarray, grad: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Tangent part of the gradient of log f^2, from the gradient of f^2, as (k, 4d) reals."""
-    return _real(_tangent(w, grad) / np.where(f2 > 0, f2, 1.0)[:, None, None])
+def _log_gradient(
+    w: np.ndarray, grad: np.ndarray, f2: np.ndarray, *carried: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Tangent part of the gradient of log f^2, from the gradient of f^2, as (k, 4d) reals.
+
+    Each of carried, earlier (k, 4d) tangent vectors, follows it projected
+    onto the same tangent spaces, all by one _tangent call on a stack.
+    """
+    z = np.array((grad / np.where(f2 > 0, f2, 1.0)[:, None, None], *map(_complex, carried)))
+    return tuple(map(_real, _tangent(w, z)))
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -412,23 +436,23 @@ def _bfgs_update(hinv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """BFGS update of a stack of inverse Hessian estimates for minimizing -log f^2.
 
     s is the step and y the fall of the gradient of log f^2 along it.  The
-    result H - rho (s Hy^T + Hy s^T) + rho (1 + rho y . Hy) s s^T, with
-    rho = 1/(s . y), is exactly symmetric and meets the secant condition
-    H y = s.  An estimate whose step saw no clear downward curvature (s . y
-    at most 1e-12 |s| |y|) is left as it is, which keeps every estimate
-    positive definite.
+    result H + (s v^T + v s^T), with v = rho ((1 + rho y . Hy)/2 s - Hy) and
+    rho = 1/(s . y), is the usual H - rho (s Hy^T + Hy s^T) +
+    rho (1 + rho y . Hy) s s^T; it is exactly symmetric and meets the
+    secant condition H y = s.  An estimate whose step saw no clear downward
+    curvature (s . y at most 1e-12 |s| |y|) is left as it is, which keeps
+    every estimate positive definite.
     """
-    sy = (s * y).sum(axis=-1)
-    curved = sy > 1e-12 * np.sqrt((s * s).sum(axis=-1) * (y * y).sum(axis=-1))
-    rho = np.where(curved, 1.0 / np.where(curved, sy, 1.0), 0.0)
-    hy = (hinv @ y[..., None])[..., 0]
-    ss = s[:, :, None] * s[:, None, :]
-    cross = s[:, :, None] * hy[:, None, :]
-    return (
-        hinv
-        - rho[:, None, None] * (cross + cross.swapaxes(-1, -2))
-        + (rho * (1.0 + rho * (y * hy).sum(axis=-1)))[:, None, None] * ss
-    )
+    hy = hinv @ y[..., None]
+    # every dot product needed, from one Gram matrix of (s, y, Hy)
+    vecs = np.concatenate((s[:, None], y[:, None], hy.swapaxes(-1, -2)), axis=1)
+    gram = vecs @ vecs.swapaxes(-1, -2)
+    sy = gram[:, 0, 1]
+    curved = sy > 1e-12 * np.sqrt(gram[:, 0, 0] * gram[:, 1, 1])
+    rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+    v = rho[:, None] * (((1.0 + rho * gram[:, 1, 2]) / 2)[:, None] * s - hy[..., 0])
+    sv = s[:, :, None] * v[:, None, :]
+    return hinv + (sv + sv.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,26 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_from_json(obj: Any) -> np.ndarray:
+def _pairs_from_json(obj: Any, ndim: int, name: str, form: str) -> np.ndarray:
+    """A complex array of ndim axes from nested [re, im] pairs, all finite.
+
+    Malformed input raises "<name> must be <form>"; JSON null (which NumPy
+    reads as NaN), NaN and Infinity raise a ValueError that names them.
+    """
+    malformed = f"{name} must be {form}"
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValueError("matrix must be a nested list of [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix must be a nested list of [re, im] pairs")
+        raise ValueError(malformed) from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(malformed)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries (null, NaN or Infinity)")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def matrix_from_json(obj: Any) -> np.ndarray:
+    return _pairs_from_json(obj, 2, "matrix", "a nested list of [re, im] pairs")
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -59,10 +71,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("vector must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _pairs_from_json(obj, 1, "vector", "a list of [re, im] pairs")
 
 
 def _params_to_json(params: dict) -> dict:

@@ -59,6 +59,10 @@ def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     return left.reshape(*lead, d, n * d) @ kraus.conj().transpose(0, 2, 1).reshape(n * d, d)
 
 
+# 4 [C, B] = 4 (CB + (CB)^dag) and 4 [A, C] = -4 (CA + (CA)^dag), as C is anti-Hermitian
+_SIGNS = np.array([4.0, -4.0])
+
+
 def pair_violation_grad(frames: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Violations f and the Euclidean gradients of f^2 on a stack of pair frames.
 
@@ -68,28 +72,34 @@ def pair_violation_grad(frames: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarr
     respect to the real and imaginary parts of (phi, psi) has the columns
     4 L^dag([C, B]/(a b) - f^2 A/a) phi and 4 L^dag([A, C]/(a b) - f^2 B/b) psi,
     with L^dag(X) = sum_k E_k^dag X E_k.  Returns f (s,) and grad (s, d, 2).
+
+    A and B are Hermitian and C anti-Hermitian, so BA = (AB)^dag, and with
+    P = [C; -C] [B; A] the two commutators are P + P^dag; A, B and C share
+    one buffer, whose real view gives a, b and ||C||^2 in one reduction.
     """
     n, d, _ = kraus.shape
     s = frames.shape[0]
     flat = kraus.reshape(n * d, d)
     # images[s, j, k, :] = E_k w_j for the frame columns w_0 = phi, w_1 = psi
-    images = (flat @ frames).reshape(s, n, d, 2).transpose(0, 3, 1, 2)
-    outs = images.swapaxes(-1, -2) @ images.conj()  # (s, 2, d, d): A and B
-    a_mat, b_mat = outs[:, 0], outs[:, 1]
-    c_mat = a_mat @ b_mat - b_mat @ a_mat
-    norm2 = (outs.real**2 + outs.imag**2).sum(axis=(-2, -1))  # (s, 2): a and b
-    c2 = (c_mat.real**2 + c_mat.imag**2).sum(axis=(-2, -1))
-    ab = norm2[:, 0] * norm2[:, 1]
-    f2 = c2 / ab
-    x = np.empty_like(outs)
-    x[:, 0] = c_mat @ b_mat - b_mat @ c_mat
-    x[:, 1] = a_mat @ c_mat - c_mat @ a_mat
-    x /= ab[:, None, None, None]
-    x -= (f2[:, None] / norm2)[..., None, None] * outs
-    # y[s, j, :, k] = X_j E_k w_j, then grad[s, j] = sum_k E_k^dag y[s, j, :, k]
-    y = x @ images.swapaxes(-1, -2)
-    grad = y.swapaxes(-1, -2).reshape(s, 2, n * d) @ flat.conj()
-    return np.sqrt(f2), 4 * grad.swapaxes(-1, -2)
+    images = (frames.swapaxes(-1, -2) @ flat.T).reshape(s, 2, n, d)
+    conj = images.conj()
+    mats = np.empty((s, 3, d, d), dtype=complex)
+    outs = np.matmul(images.swapaxes(-1, -2), conj, out=mats[:, :2])  # A and B
+    ab = outs[:, 0] @ outs[:, 1]
+    c_mat = np.subtract(ab, ab.conj().swapaxes(-1, -2), out=mats[:, 2])
+    real = mats.view(float).reshape(s, 3, 2 * d * d)
+    norm2 = (real * real).sum(axis=-1)  # (s, 3): a, b and ||C||^2
+    prod = norm2[:, 0] * norm2[:, 1]
+    f2 = norm2[:, 2] / prod
+    # P = (4/(a b)) [C; -C] [B; A], then 4 [C, B]/(a b) and 4 [A, C]/(a b) are P + P^dag
+    p = (c_mat[:, None] * (_SIGNS / prod[:, None])[..., None, None]) @ outs[:, ::-1]
+    x = p + p.conj().swapaxes(-1, -2)
+    x -= (4 * f2[:, None] / norm2[:, :2])[..., None, None] * outs
+    # conj(y)[s, j, k, :] = conj(E_k w_j)^T X_j, X_j being Hermitian; then
+    # grad[s, j] = sum_k E_k^dag y[s, j, k, :]
+    y_conj = (conj @ x).reshape(s, 2, n * d)
+    grad = (y_conj @ flat).conj()
+    return np.sqrt(f2), grad.swapaxes(-1, -2)
 
 
 def pair_violation(theta: np.ndarray, u0: np.ndarray, kraus: np.ndarray) -> float:

@@ -314,6 +314,46 @@ class TestSearchPhase:
             assert calls == [(classify.PAIR_BAND_FRAMES, classify.PAIR_BAND_RTOL)], seed
 
 
+# (kind, d, index, max_violation, band, preserving) of is_commutativity_preserving,
+# recorded with the earlier pair kernel and ascent step; any rewrite of either must
+# reproduce them.  Haar creators take the polish; (1 - 1e-3) isotropic + 1e-3 Haar
+# takes the band.
+ASCENT_GOLDEN = [
+    ("cptp", 2, 0, 0.3088840969463096, False, False),
+    ("cptp", 2, 1, 0.3399660311723736, False, False),
+    ("cptp", 2, 2, 0.30588542394341933, False, False),
+    ("cptp", 3, 0, 0.3730595313763125, False, False),
+    ("cptp", 3, 1, 0.41821950584627926, False, False),
+    ("cptp", 3, 2, 0.34827232053312557, False, False),
+    ("cptp", 4, 0, 0.2955100813631643, False, False),
+    ("cptp", 4, 1, 0.31317362558712886, False, False),
+    ("cptp", 4, 2, 0.35202177071975266, False, False),
+    ("cptp", 8, 0, 0.14386650329773634, False, False),
+    ("cptp", 8, 1, 0.1554033790342184, False, False),
+    ("cptp", 8, 2, 0.1440546605180496, False, False),
+    ("near", 2, 0, 0.0005471973064569971, True, False),
+    ("near", 2, 1, 0.00023325125419185565, True, False),
+    ("near", 2, 2, 0.0001630077728577896, True, False),
+    ("near", 3, 0, 0.0005331693018360031, True, False),
+    ("near", 3, 1, 0.0005670920651065762, True, False),
+    ("near", 3, 2, 0.0003453217377914443, True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, d, index, violation, band, preserving",
+    ASCENT_GOLDEN,
+    ids=[f"{kind}-d{d}-{index}" for kind, d, index, *_ in ASCENT_GOLDEN],
+)
+def test_ascent_matches_recorded_verdicts(kind, d, index, violation, band, preserving):
+    rng = rng_from_seed(4100 + 10 * d + index)
+    ch = random_cptp(d, rng) if kind == "cptp" else near_boundary_channel(d, 1e-3, rng)
+    verdict = classify.is_commutativity_preserving(ch)
+    assert verdict.band is band
+    assert verdict.preserving is preserving
+    assert verdict.max_violation == pytest.approx(violation, rel=1e-9, abs=0)
+
+
 class TestBfgsUpdate:
     @pytest.mark.parametrize("d", [2, 4])
     def test_symmetric_secant_and_curvature_guard(self, d, rng):

@@ -193,6 +193,12 @@ def _bell_state_json():
     return jsonio.state_to_json(bell)
 
 
+def _bell_state_json_with_null():
+    obj = _bell_state_json()
+    obj["matrix"][0][0][0] = None
+    return obj
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize(
         "command, obj",
@@ -210,10 +216,12 @@ class TestMalformedJson:
             ("msf", {**_bell_state_json(), "dimA": None}),
             ("msf", {**_bell_state_json(), "dimB": 2.0}),
             ("msf", {**_bell_state_json(), "dimA": -2, "dimB": -2}),
+            ("msf", _bell_state_json_with_null()),
         ],
         ids=["kraus-not-list", "dim-null", "dim-float", "dim-bool", "meta-not-object",
              "params-not-object", "kraus-ragged", "kraus-three-number-pair",
-             "kraus-wrong-dimension", "dimA-null", "dimB-float", "dims-negative"],
+             "kraus-wrong-dimension", "dimA-null", "dimB-float", "dims-negative",
+             "matrix-entry-null"],
     )
     def test_exit_2(self, files, capsys, command, obj):
         _, write = files
@@ -222,6 +230,14 @@ class TestMalformedJson:
         code, _, err = run(capsys, [command, flag, path, "--seed", "1"])
         assert code == 2
         assert "error:" in err
+
+    def test_null_entry_is_named(self, files, capsys):
+        # NumPy reads JSON null as NaN; the state check must not see it as non-Hermitian
+        _, write = files
+        path = write("null.json", _bell_state_json_with_null())
+        code, _, err = run(capsys, ["msf", "--in", path, "--seed", "1"])
+        assert code == 2
+        assert "non-finite" in err and "Hermitian" not in err
 
 
 class TestUnwritableOut:

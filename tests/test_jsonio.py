@@ -62,6 +62,22 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             jsonio.matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("decode, wrap", [
+        (jsonio.vector_from_json, lambda pair: [pair, [0.0, 0.0]]),
+        (jsonio.matrix_from_json, lambda pair: [[pair, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    ], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("pair, match", [
+        ([{}, 0.0], "list of \\[re, im\\] pairs"),
+        (["a", 0.0], "list of \\[re, im\\] pairs"),
+        ([None, 0.0], "non-finite"),
+        ([0.0, float("nan")], "non-finite"),
+        ([float("inf"), 0.0], "non-finite"),
+        ([0.0, float("-inf")], "non-finite"),
+    ], ids=["object", "string", "null", "nan", "inf", "minus-inf"])
+    def test_bad_entries_raise_value_error(self, decode, wrap, pair, match):
+        with pytest.raises(ValueError, match=match):
+            decode(wrap(pair))
+
 
 class TestChannelFiles:
     def test_round_trip_action(self, rng):
@@ -152,6 +168,15 @@ class TestWitnessRoundTrip:
         assert back.output_quantumness == pytest.approx(w.output_quantumness, abs=1e-9)
         assert back.output_quantumness > 1e-7
         assert abs(np.vdot(back.pair[0], back.pair[1])) < 1e-9
+
+    @pytest.mark.parametrize("entry, match", [({}, "pairs"), (None, "non-finite")])
+    def test_bad_pair_entry_is_a_value_error(self, rng, entry, match):
+        ch = random_cptp(3, rng)
+        verdict = classify.is_commutativity_preserving(ch)
+        obj = jsonio.witness_to_json(classify.witness_from_pair(ch, *verdict.witness_pair))
+        obj["pair"][0][0][0] = entry
+        with pytest.raises(ValueError, match=match):
+            jsonio.witness_from_json(obj)
 
 
 class TestCPVerdictNotes:

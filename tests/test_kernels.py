@@ -58,6 +58,29 @@ class TestReferencePaths:
         assert np.abs(kernels.apply_kraus(ch.ops, m) - explicit).max() < 1e-12
 
 
+def reference_pair_violation_grad(frames, kraus):
+    """The kernel's earlier body: both orderings of every product, norms slot by slot."""
+    n, d, _ = kraus.shape
+    s = frames.shape[0]
+    flat = kraus.reshape(n * d, d)
+    images = (flat @ frames).reshape(s, n, d, 2).transpose(0, 3, 1, 2)
+    outs = images.swapaxes(-1, -2) @ images.conj()
+    a_mat, b_mat = outs[:, 0], outs[:, 1]
+    c_mat = a_mat @ b_mat - b_mat @ a_mat
+    norm2 = (outs.real**2 + outs.imag**2).sum(axis=(-2, -1))
+    c2 = (c_mat.real**2 + c_mat.imag**2).sum(axis=(-2, -1))
+    ab = norm2[:, 0] * norm2[:, 1]
+    f2 = c2 / ab
+    x = np.empty_like(outs)
+    x[:, 0] = c_mat @ b_mat - b_mat @ c_mat
+    x[:, 1] = a_mat @ c_mat - c_mat @ a_mat
+    x /= ab[:, None, None, None]
+    x -= (f2[:, None] / norm2)[..., None, None] * outs
+    y = x @ images.swapaxes(-1, -2)
+    grad = y.swapaxes(-1, -2).reshape(s, 2, n * d) @ flat.conj()
+    return np.sqrt(f2), 4 * grad.swapaxes(-1, -2)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 class TestPairViolationGrad:
     def frames(self, d, rng, s=6):
@@ -86,3 +109,16 @@ class TestPairViolationGrad:
             numeric = (fp**2 - fm**2) / (2 * h)
             analytic = (e.conj() * grad).sum(axis=(-2, -1)).real
             assert np.abs(numeric - analytic).max() <= 1e-7 * (1 + np.abs(analytic).max())
+
+    @pytest.mark.parametrize("off", [0.0, 1e-5], ids=["orthonormal", "off-manifold"])
+    def test_matches_reference(self, d, off, rng):
+        # off-manifold frames W + h E are what the central differences above feed it
+        ch = random_cptp(d, rng)
+        frames = self.frames(d, rng)
+        e = rng.standard_normal(frames.shape) + 1j * rng.standard_normal(frames.shape)
+        frames = frames + off * e
+        f, grad = kernels.pair_violation_grad(frames, ch.ops)
+        f_ref, grad_ref = reference_pair_violation_grad(frames, ch.ops)
+        assert np.all(np.abs(f - f_ref) <= 1e-13 * f_ref)
+        scale = np.abs(grad_ref).max(axis=(-2, -1))
+        assert np.all(np.abs(grad - grad_ref).max(axis=(-2, -1)) <= 1e-13 * scale)
