@@ -325,16 +325,14 @@ def _ascend_pairs(
     rtol f^2, or once a refused step was too short to gain more than that
     to first order.
 
-    The climbing frames live in contiguous local arrays (f^2 carried beside
-    f, the log-gradient xi in the real (k, 4d) layout of _real) and are
-    written back to frames and f only when they finish or the budget ends.
-    When every frame's step was taken, the step uses whole arrays: no masks
-    and no gathers.
+    The climbing frames live in contiguous local arrays (the log-gradient
+    xi in the real (k, 4d) layout of _real) and are written back to frames
+    and f only when they finish or the budget ends.  When every frame's step
+    was taken, they are updated through a slice, not a mask: no gathers.
     """
     k, d = active.size, frames.shape[1]
     w, fk = frames[active], f[active]
-    f2 = fk * fk
-    (xi,) = _log_gradient(w, grad[active], f2)
+    xi = _log_gradient(w, grad[active], fk * fk)
     hinv = np.broadcast_to(PAIR_STEP * np.eye(4 * d), (k, 4 * d, 4 * d)).copy()
     step = np.ones(k)
 
@@ -346,10 +344,11 @@ def _ascend_pairs(
         if active.size > budget - evals:
             cut = budget - evals
             write_back(slice(cut, None))
-            active, w, fk, f2, xi, hinv, step = (
-                a[:cut] for a in (active, w, fk, f2, xi, hinv, step)
+            active, w, fk, xi, hinv, step = (
+                a[:cut] for a in (active, w, fk, xi, hinv, step)
             )
         k = active.size
+        f2 = fk * fk
         p = _tangent(w, _complex(hinv @ xi[:, :, None]))
         p_real = _real(p)
         slope = (p_real * xi).sum(axis=-1)
@@ -365,23 +364,19 @@ def _ascend_pairs(
         done = np.where(take, gain, step * slope * f2) <= rtol * f2
         moved = np.count_nonzero(take)
         if moved:
-            # the whole arrays when every frame moved (the common case): no gathers
+            # a slice, not a mask, when every frame moved: no gathers in the common case
             rows = slice(None) if moved == k else take
-            q, f_new, f2_new = q[rows], f_new[rows], f2_new[rows]
-            xi_new, carried = _log_gradient(q, g_new[rows], f2_new, xi[rows])
+            q, f_new = q[rows], f_new[rows]
+            xi_new, carried = _log_gradient(q, g_new[rows], f2_new[rows], xi[rows])
             s = step[rows, None] * p_real[rows]
-            hinv_new = _bfgs_update(hinv[rows], s, carried - xi_new)
-            if moved == k:
-                w, fk, f2, xi, hinv = q, f_new, f2_new, xi_new, hinv_new
-            else:
-                w[take], fk[take], f2[take] = q, f_new, f2_new
-                xi[take], hinv[take] = xi_new, hinv_new
+            hinv[rows] = _bfgs_update(hinv[rows], s, carried - xi_new)
+            w[rows], fk[rows], xi[rows] = q, f_new, xi_new
         step = step * np.where(take, np.where(linear, PAIR_STEP_GROW, 1.0), 0.5)
         if np.count_nonzero(done):
             write_back(done)
             keep = ~done
-            active, w, fk, f2, xi, hinv, step = (
-                a[keep] for a in (active, w, fk, f2, xi, hinv, step)
+            active, w, fk, xi, hinv, step = (
+                a[keep] for a in (active, w, fk, xi, hinv, step)
             )
     write_back(slice(None))
     return evals
@@ -411,15 +406,19 @@ def _retract(v: np.ndarray) -> np.ndarray:
 
 
 def _log_gradient(
-    w: np.ndarray, grad: np.ndarray, f2: np.ndarray, *carried: np.ndarray
-) -> tuple[np.ndarray, ...]:
+    w: np.ndarray, grad: np.ndarray, f2: np.ndarray, carried: np.ndarray | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Tangent part of the gradient of log f^2, from the gradient of f^2, as (k, 4d) reals.
 
-    Each of carried, earlier (k, 4d) tangent vectors, follows it projected
-    onto the same tangent spaces, all by one _tangent call on a stack.
+    Given carried, an earlier (k, 4d) tangent vector, returns the pair
+    (log-gradient, carried projected onto the same tangent spaces), both
+    from one _tangent call on a stack of the two.
     """
-    z = np.array((grad / np.where(f2 > 0, f2, 1.0)[:, None, None], *map(_complex, carried)))
-    return tuple(map(_real, _tangent(w, z)))
+    z = grad / np.where(f2 > 0, f2, 1.0)[:, None, None]
+    if carried is None:
+        return _real(_tangent(w, z))
+    xi, carried = _tangent(w, np.array((z, _complex(carried))))
+    return _real(xi), _real(carried)
 
 
 def _real(z: np.ndarray) -> np.ndarray:

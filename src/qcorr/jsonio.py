@@ -119,16 +119,11 @@ def channel_from_json(obj: Any) -> KrausChannel:
     dim = _int_field(obj, "dim")
     if not isinstance(obj["kraus"], list):
         raise ValueError("'kraus' must be a list of matrices")
-    malformed = "'kraus' must be a nonempty list of equal-size matrices of [re, im] pairs"
-    try:
-        arr = np.asarray(obj["kraus"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(malformed) from exc
-    if arr.ndim != 4 or arr.shape[3] != 2:
-        raise ValueError(malformed)
-    if arr.shape[1:3] != (dim, dim):
+    ops = _pairs_from_json(
+        obj["kraus"], 3, "'kraus'", "a nonempty list of equal-size matrices of [re, im] pairs"
+    )
+    if ops.shape[1:] != (dim, dim):
         raise ValueError("Kraus matrices do not match the declared dimension")
-    ops = arr[..., 0] + 1j * arr[..., 1]
     meta = _object_field(obj, "meta")
     return KrausChannel(ops, kind=meta.get("kind"), params=_object_field(meta, "params"))
 

@@ -112,8 +112,9 @@ class TestChannelFiles:
             ([[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]], "pairs"),
             ([[[[1.0, 0.0]]]], "declared dimension"),
             ([[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "pairs"),
+            ([[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "'kraus' has non-finite"),
         ],
-        ids=["empty", "ragged", "three-number-pair", "wrong-dimension", "not-a-number"],
+        ids=["empty", "ragged", "three-number-pair", "wrong-dimension", "not-a-number", "null"],
     )
     def test_malformed_kraus_rejected(self, kraus, match):
         with pytest.raises(ValueError, match=match):
