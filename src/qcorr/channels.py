@@ -18,11 +18,24 @@ import numpy as np
 
 from . import kernels, linalg
 from .states import BipartiteState, DensityMatrix, block_decompose, reassemble_blocks
-from .states import check_orthonormal, check_probability, check_tolerance
+from .states import ORTHONORMAL_ATOL, check_orthonormal, check_probability, check_tolerance
 
+# a unitary mixture of accepted parts is trace preserving within
+# ORTHONORMAL_ATOL + TRACE_ATOL (check_probability), which must stay below this
 TP_ATOL = 1e-9
-CHOI_PSD_ATOL = 1e-8
-KRAUS_DROP_TOL = 1e-12
+BOUNDARY_TOL = 1e-12
+
+
+def choi_atol(d: int) -> float:
+    """Choi eigenvalues within this of zero count as zero: kraus_from_choi drops them.
+
+    Dropping a part J_0 moves sum E^dag E by d Tr_out(J_0), whose entries
+    are at most d^2 ||J_0||_op = (TP_ATOL - ORTHONORMAL_ATOL) / 2.  The
+    constructors' Choi matrices are trace preserving within ORTHONORMAL_ATOL
+    (their unitary passed check_orthonormal, |p| <= 1), so the TP check
+    accepts every one the positivity check accepted, with room for rounding.
+    """
+    return (TP_ATOL - ORTHONORMAL_ATOL) / (2 * d * d)
 
 
 def maximally_entangled_ket(d: int) -> np.ndarray:
@@ -136,9 +149,9 @@ def kraus_from_choi(
 ) -> KrausChannel:
     """Extract a minimal Kraus set from a unit-trace Choi matrix.
 
-    Gauge: eigenvectors scaled by sqrt(d * eigenvalue), eigenvalues below
-    KRAUS_DROP_TOL discarded.  Raises if J has an eigenvalue below
-    -CHOI_PSD_ATOL or if the resulting map is not trace preserving.
+    Gauge: eigenvectors scaled by sqrt(d * eigenvalue), eigenvalues of at
+    most choi_atol(d) discarded.  Raises if J has an eigenvalue below
+    -choi_atol(d) or if the resulting map is not trace preserving.
     """
     j = np.asarray(j, dtype=complex)
     n = j.shape[0]
@@ -146,16 +159,11 @@ def kraus_from_choi(
     if j.shape != (n, n) or d * d != n:
         raise ValueError("Choi matrix must be d^2 x d^2")
     spec = linalg.hermitian_eig(j)
-    if float(spec.eigenvalues[0]) < -CHOI_PSD_ATOL:
-        raise ValueError(
-            f"Choi matrix has eigenvalue {float(spec.eigenvalues[0]):.3e} < -{CHOI_PSD_ATOL:.0e}"
-        )
-    ops = []
-    for w, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-        if w > KRAUS_DROP_TOL:
-            ops.append(np.sqrt(d * w) * v.reshape(d, d))
-    if not ops:
-        raise ValueError("Choi matrix has no eigenvalue above the drop tolerance")
+    w, v, atol = spec.eigenvalues, spec.eigenvectors, choi_atol(d)
+    if not w[0] >= -atol:
+        raise ValueError(f"Choi matrix has eigenvalue {w[0]:.3e} < -{atol:.2e}")
+    keep = w > atol
+    ops = (np.sqrt(d * w[keep]) * v[:, keep]).T.reshape(-1, d, d)
     return KrausChannel(ops, kind=kind, params=params)
 
 
@@ -205,10 +213,7 @@ def isotropic_choi(d: int, p: float, gamma: str = "unitary", u: np.ndarray | Non
         vec = u.reshape(-1) / np.sqrt(d)  # (u (x) I)|Phi+> in row-major layout
         jg = np.outer(vec, vec.conj())
     elif gamma == "transpose":
-        swap = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                swap[i * d + j, j * d + i] = 1.0
+        swap = np.eye(d * d, dtype=complex).reshape(d * d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
         uk = linalg.tensor(u, np.eye(d))
         jg = uk @ (swap / d) @ uk.conj().T
     else:
@@ -222,7 +227,8 @@ def isotropic(d: int, p: float, gamma: str = "unitary", u: np.ndarray | None = N
     Gamma is a unitary conjugation rho -> u rho u^dag ('unitary') or a
     unitarily rotated transpose rho -> u rho^T u^dag ('transpose').  p must
     lie in isotropic_p_range(d, gamma); the Choi matrix is checked for
-    positivity at build time, which rejects anything outside that interval.
+    positivity at build time (kraus_from_choi), which rejects anything more
+    than d^2 choi_atol(d) outside that interval.
     """
     j = isotropic_choi(d, p, gamma, u)
     lo, hi = isotropic_p_range(d, gamma)
@@ -239,13 +245,9 @@ def isotropic(d: int, p: float, gamma: str = "unitary", u: np.ndarray | None = N
     except ValueError as exc:
         raise ValueError(
             f"p={p} is outside the completely positive range [{lo:.6g}, {hi:.6g}] "
-            f"for the {gamma} case (Choi PSD violated)"
+            f"for the {gamma} case: {exc}"
         ) from exc
     return ch
-
-
-def min_choi_eigenvalue(j: np.ndarray) -> float:
-    return float(linalg.hermitian_eig(j).eigenvalues[0])
 
 
 def isotropic_boundary(
@@ -253,7 +255,7 @@ def isotropic_boundary(
     gamma: str,
     side: str,
     u: np.ndarray | None = None,
-    tol: float = 1e-12,
+    tol: float = BOUNDARY_TOL,
 ) -> float:
     """Locate by bisection the p where the isotropic Choi stops being PSD.
 
@@ -265,7 +267,7 @@ def isotropic_boundary(
     check_tolerance(tol)
 
     def f(p: float) -> float:
-        return min_choi_eigenvalue(isotropic_choi(d, p, gamma, u))
+        return float(linalg.hermitian_eig(isotropic_choi(d, p, gamma, u)).eigenvalues[0])
 
     brackets = {"lower": (-1.5, 0.0), "upper": (1.5, 0.0)}
     if side not in brackets:
@@ -301,16 +303,17 @@ def completely_decohering(basis: np.ndarray, povm: Sequence[np.ndarray]) -> Krau
     d = b.shape[0]
     if b.shape[1] != len(povm):
         raise ValueError("need one POVM element per basis vector")
+    atol = d * choi_atol(d)  # the Choi matrix is sum_i |b_i><b_i| (x) F_i^T / d
     ops = []
     for i, f in enumerate(povm):
         f = np.asarray(f, dtype=complex)
         if f.shape != (d, d) or not linalg.is_hermitian(f):
             raise ValueError(f"POVM element {i} is not a Hermitian {d} x {d} matrix")
         spec = linalg.hermitian_eig(f)
-        if float(spec.eigenvalues[0]) < -1e-10:
+        if not spec.eigenvalues[0] >= -atol:
             raise ValueError(f"POVM element {i} is not PSD")
         for w, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if w > KRAUS_DROP_TOL:
+            if w > atol:
                 ops.append(np.outer(b[:, i], np.sqrt(w) * v.conj()))
     # sum_i F_i = I is the channel's trace preservation, checked by KrausChannel
     return KrausChannel(ops, kind="completely_decohering")
@@ -344,16 +347,9 @@ def block_unitary_mixture(e_weights, block_unitaries: Sequence[np.ndarray]) -> K
         raise ValueError("e_weights and block_unitaries must have matching length")
     blocks = [np.asarray(v, dtype=complex) for v in block_unitaries]
     db = blocks[0].shape[0]
-    d = db + 1
-    for v in blocks:
-        if v.shape != (db, db):
-            raise ValueError("block members must be unitaries of one common dimension")
-        check_orthonormal(v)
-    top = np.zeros((d, d), dtype=complex)
-    top[d - 1, d - 1] = 1.0
-    ops = [top]
-    for ei, v in zip(e, blocks):
-        full = np.zeros((d, d), dtype=complex)
-        full[:db, :db] = v
-        ops.append(ei * full)
+    if any(v.shape != (db, db) for v in blocks):
+        raise ValueError("block members must be unitaries of one common dimension")
+    ops = np.zeros((e.size + 1, db + 1, db + 1), dtype=complex)
+    ops[0, db, db] = 1.0
+    ops[1:, :db, :db] = e[:, None, None] * np.array([check_orthonormal(v) for v in blocks])
     return KrausChannel(ops, kind="block_unitary_mixture", params={"e_weights": e})

@@ -90,8 +90,10 @@ class CPVerdict:
     the search ran: True when the screened maximum was below max(100 tol,
     1e-3) and the best PAIR_BAND_FRAMES screened pairs climbed together,
     False when the winner alone was polished or no search ran.  The search
-    screens a fixed sequence of pairs, so every field is a function of the
-    channel, budget and tol alone.
+    screens a fixed sequence of pairs, so on one NumPy/BLAS build every
+    field is a function of the channel, budget and tol alone.  Across builds
+    a band verdict's evals can move: many ascent steps along a flat ridge
+    amplify last-bit rounding.
     """
 
     preserving: bool
@@ -192,7 +194,8 @@ def is_commutativity_preserving(
     the screened best is below max(100 tol, 1e-3) it runs the band instead,
     the best PAIR_BAND_FRAMES together to a tighter tolerance (the verdict's
     band).  Nothing is random: the verdict, its witness pair and evals
-    depend only on the channel, budget and tol.  A violation is a proof; a
+    depend only on the channel, budget and tol (evals on one NumPy/BLAS
+    build; see CPVerdict).  A violation is a proof; a
     search pass whose bound exceeds tol only says none was found within the
     budget.
     tol must be finite and positive (check_tolerance): an infinite one
@@ -606,7 +609,7 @@ def find_decohering_basis(
     decision tolerance CP_TOL) their common eigenbasis diagonalizes L(rho)
     for every rho by linearity.  Returns None otherwise.
     """
-    skip = 1e-12
+    skip = linalg.ZERO_MEMBER_ATOL
     outs = _images(channel, hermitian_basis(channel.dim))
     worst, _ = linalg.worst_commutation_defect(outs, skip=skip, stop=tol)
     if worst > tol:
@@ -651,7 +654,8 @@ def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> Isotropi
     kinds are one fit, of g or of g with i, j swapped: every Choi column is
     vec(u) times a scalar, and u is the polar factor of the column with the
     largest diagonal entry.  A candidate is accepted iff p lies in the CP
-    range and |p| max_ij ||g[i, j] - u_i u_j^dag||_F <= tol, which is the
+    range (within the slack isotropic() allows) and |p| max_ij ||g[i, j] -
+    u_i u_j^dag||_F <= tol, which is the
     action distance max_ij ||L(E_ij) - F(E_ij)||_F to the fitted channel F.
     """
     if not is_unital(channel, tol):
@@ -664,13 +668,16 @@ def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> Isotropi
         return IsotropicFit(p=0.0, gamma=None, u=None)
 
     p_abs = linalg.frobenius(diff) / np.sqrt(d * d - 1)
+    # isotropic() accepts p up to d^2 choi_atol(d) outside the CP range, where the
+    # least Choi eigenvalue falls at slope >= 1/d^2; twice that allows for rounding
+    slack = chn.TP_ATOL - ORTHONORMAL_ATOL
     for p in (p_abs, -p_abs):
         g = depol + diff / p
         # the Choi diagonal g[j, j][b, b] is the same for both kinds
         j, b = np.unravel_index(np.argmax(np.einsum("jjbb->jb", g).real), (d, d))
         for gamma, units in (("unitary", g), ("transpose", g.swapaxes(0, 1))):
             lo, hi = chn.isotropic_p_range(d, gamma)
-            if not lo - 1e-12 <= p <= hi + 1e-12:
+            if not lo - slack <= p <= hi + slack:
                 continue
             # units[i, j][a, b] = u[a, i] conj(u[b, j]), so this column is u conj(u[b, j])
             u = _polar_unitary(units[:, j, :, b].T)
@@ -1177,7 +1184,7 @@ def scan_channels(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_one_star, tasks, chunksize=4))
+            rows = list(pool.map(_scan_one, *zip(*tasks), chunksize=4))
     else:
         rows = [_scan_one(*t) for t in tasks]
 
@@ -1204,7 +1211,3 @@ def scan_channels(
         family_counts={k: dict(v) for k, v in counts.items()},
         anomalies=tuple(r for r in rows if r.anomaly),
     )
-
-
-def _scan_one_star(args) -> ScanRow:
-    return _scan_one(*args)

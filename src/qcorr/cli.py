@@ -25,7 +25,6 @@ from .sampling import rng_from_seed
 from .selftest import run_selftest
 from .states import check_tolerance
 
-DEFAULT_TOL = classify.CP_TOL
 DEFAULT_SAMPLES = 200
 
 
@@ -62,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=None,
                             help=f"64-bit {seed}; drawn from entropy (and echoed) if omitted")
         if tol:
-            sp.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
+            sp.add_argument("--tol", type=tolerance, default=classify.CP_TOL,
                             help=("decision tolerance on normalized violations and on every "
-                                  f"family test (default {DEFAULT_TOL:g})"))
+                                  f"family test (default {classify.CP_TOL:g})"))
         if budget:
             sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
                             help=("pair evaluations per preservation search (msf: ascent "

@@ -43,6 +43,9 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+vector_to_json = matrix_to_json  # the [re, im] encoding of any array
+
+
 def _pairs_from_json(obj: Any, ndim: int, name: str, form: str) -> np.ndarray:
     """A complex array of ndim axes from nested [re, im] pairs, all finite.
 
@@ -63,11 +66,6 @@ def _pairs_from_json(obj: Any, ndim: int, name: str, form: str) -> np.ndarray:
 
 def matrix_from_json(obj: Any) -> np.ndarray:
     return _pairs_from_json(obj, 2, "matrix", "a nested list of [re, im] pairs")
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def vector_from_json(obj: Any) -> np.ndarray:
@@ -153,6 +151,10 @@ def witness_to_json(w: CreationWitness) -> dict:
 def witness_from_json(obj: Any) -> CreationWitness:
     from .states import is_classical_on_b
 
+    if not isinstance(obj, dict) or not {"pair", "input", "output"} <= set(obj):
+        raise ValueError("witness JSON must have 'pair', 'input' and 'output' fields")
+    if not isinstance(obj["pair"], list) or len(obj["pair"]) != 2:
+        raise ValueError("'pair' must be a list of two vectors")
     pair = (vector_from_json(obj["pair"][0]), vector_from_json(obj["pair"][1]))
     input_state = state_from_json(obj["input"])
     output_state = state_from_json(obj["output"])

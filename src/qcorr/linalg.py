@@ -5,9 +5,8 @@ of matrices is one stacked (n, d, d) array.  worst_commutation_defect is
 the single "normal and pairwise commuting" test: the classical-on-B
 detector and the decohering-channel detector call it, and
 simultaneous_diagonalization calls it to name the fault of a family it
-cannot diagonalize.  Default tolerances: Hermiticity 1e-10, commutator
-checks 1e-9, both relative to the operand norms; entropy clamps eigenvalues
-down to -1e-10.
+cannot diagonalize.  The tolerances below are the first rows of the
+README's tolerance table, which states and channels continue.
 """
 
 from __future__ import annotations
@@ -20,7 +19,10 @@ from . import kernels
 
 HERM_TOL = 1e-10
 COMMUTATOR_TOL = 1e-9
+# an eigenvalue of a state (or a weight of a mixture) may be this far below 0
 SPECTRUM_ATOL = 1e-10
+# a member of at most this Frobenius norm is zero; rounding leaves ~d^2 eps (1.4e-14 at d = 8)
+ZERO_MEMBER_ATOL = 1e-12
 
 _SIMDIAG_TRIES = 5
 
@@ -61,11 +63,14 @@ def worst_commutation_defect(
     batched product, so no temporary grows like n^2 d^2.  Ties go to the
     first pair in row-major order.  Returns after the first row whose worst
     exceeds stop: the value is then a lower bound that already exceeds it.
+    A non-finite entry raises: a NaN member would otherwise be skipped.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"need an (n, d, d) stack of square matrices, got shape {mats.shape}")
     norms = np.linalg.norm(mats, axis=(1, 2))
+    if not norms.sum() < np.inf:  # NaN or inf
+        raise ValueError("family has non-finite entries")
     keep = np.flatnonzero(norms > skip)
     members, norms = mats[keep], norms[keep]
     worst, pair = 0.0, None
@@ -107,14 +112,14 @@ def von_neumann_entropy(eigenvalues_or_rho: np.ndarray) -> float:
     """S = -sum_i p_i log2 p_i in bits; 0 log 0 := 0.
 
     Accepts a density matrix or its spectrum.  Eigenvalues slightly below
-    zero (within SPECTRUM_ATOL) are clamped.
+    zero (within SPECTRUM_ATOL) are clamped; a lower one, or NaN, raises.
     """
     arr = np.asarray(eigenvalues_or_rho)
     if arr.ndim == 2:
         arr = hermitian_eig(arr).eigenvalues
     p = np.asarray(arr, dtype=float)
-    if p.min() < -SPECTRUM_ATOL:
-        raise ValueError(f"spectrum has eigenvalue {p.min():.3e} below -{SPECTRUM_ATOL:.0e}")
+    if not p.min() >= -SPECTRUM_ATOL:
+        raise ValueError(f"spectrum has eigenvalue {p.min():.3e}, not >= -{SPECTRUM_ATOL:.0e}")
     p = np.clip(p, 0.0, None)
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import channels as chn
 from . import linalg
+from .classify import CP_TOL
 from .sampling import (
     haar_isometries,
     haar_unitaries,
@@ -26,7 +27,8 @@ from .sampling import (
     rng_from_seed,
     substream,
 )
-from .states import DensityMatrix, is_classical_on_b, make_half_classical, measure_and_dephase
+from .states import BipartiteState, DensityMatrix, is_classical_on_b, make_half_classical
+from .states import measure_and_dephase
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class SelftestReport:
         }
 
 
-def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
+def run_selftest(tol: float = CP_TOL, seed: int = 7) -> SelftestReport:
     checks: list[Check] = []
 
     def record(group: str, name: str, passed: bool, detail: str) -> None:
@@ -85,7 +87,7 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
     u = haar_unitary(4, rng)
     spectra = [rng.standard_normal(4) for _ in range(3)]
     fam = [(u * s) @ u.conj().T for s in spectra]
-    v = linalg.simultaneous_diagonalization(fam, tol=max(tol, 1e-9))
+    v = linalg.simultaneous_diagonalization(fam, tol=max(tol, linalg.COMMUTATOR_TOL))
     off = max(
         linalg.frobenius(t - np.diag(np.diag(t)))
         for t in (v.conj().T @ m @ v for m in fam)
@@ -110,8 +112,6 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
     record("states", "dephasing_idempotent", drift <= tol, f"drift {drift:.2e}")
 
     bell = DensityMatrix.pure(chn.maximally_entangled_ket(2))
-    from .states import BipartiteState
-
     rep = is_classical_on_b(BipartiteState(2, 2, bell))
     record("states", "bell_state_detected", rep.quantumness > 0.1, f"quantumness {rep.quantumness:.3f}")
 
@@ -148,7 +148,7 @@ def run_selftest(tol: float = 1e-7, seed: int = 7) -> SelftestReport:
         for gamma, side, expected in checks_b:
             found = chn.isotropic_boundary(d, gamma, side, uu)
             worst_b = max(worst_b, abs(found - expected))
-    record("channels", "isotropic_psd_boundaries", worst_b <= max(tol, 1e-10), f"worst |found-expected| {worst_b:.2e}")
+    record("channels", "isotropic_psd_boundaries", worst_b <= max(tol, chn.BOUNDARY_TOL), f"worst |found-expected| {worst_b:.2e}")
 
     # --- sampling ----------------------------------------------------------
     worst_u = 0.0

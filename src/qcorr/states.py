@@ -7,9 +7,8 @@ The detector works on the B-side blocks C_kl = <k|_A rho |l>_A: the state is
 classical on B iff every block is normal and all blocks pairwise commute.
 
 Kets, orthonormal sets, weight vectors and decision tolerances from callers
-are checked here, one function and one tolerance per property: check_ket,
-check_orthonormal (bases, pairs and unitaries), check_probability and
-check_tolerance.
+are checked here, one function per property: check_ket, check_orthonormal
+(bases, pairs and unitaries), check_probability and check_tolerance.
 """
 
 from __future__ import annotations
@@ -21,14 +20,17 @@ import numpy as np
 
 from . import linalg
 
+# Each tolerance is one row of the README's tolerance table.  Argument checks
+# read "not x <= tol", so NaN input fails them.
 TRACE_ATOL = 1e-10
-PSD_CLAMP = 1e-10
-KET_ATOL = 1e-12
-# max |B^dag B - I| entry: the normalized defect of a make_half_classical state
-# is at most sqrt(2) times the largest overlap, below CLASSICALITY_TOL
-ORTHONORMAL_ATOL = 7e-10
+# a ket whose norm is off by e <= KET_ATOL gives tr |v><v| within 2.01 e of 1,
+# leaving a third of TRACE_ATOL for rounding when the state is read back
+KET_ATOL = TRACE_ATOL / 3
 CLASSICALITY_TOL = 1e-9
-# argument checks read "not x <= tol", so NaN input fails them
+# columns with max |B^dag B - I| entry c give a make_half_classical state a
+# normalized defect of at most sqrt(2) c / (1 - c) (two columns; to first order
+# for more); the 1% keeps that plus rounding below CLASSICALITY_TOL
+ORTHONORMAL_ATOL = CLASSICALITY_TOL / (1.01 * math.sqrt(2))
 
 
 def check_ket(v: np.ndarray) -> np.ndarray:
@@ -51,13 +53,18 @@ def check_orthonormal(columns: np.ndarray) -> np.ndarray:
 
 
 def check_probability(p, name: str = "weights") -> np.ndarray:
-    """Check entries >= -1e-12 summing to 1 within 1e-10; clip the negatives to 0."""
+    """Clip entries >= -SPECTRUM_ATOL to 0 and check they sum to 1 within TRACE_ATOL.
+
+    The weights are the eigenvalues and the trace of the mixture they build;
+    the sum is that of the clipped weights, which the mixture uses.
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{name} must be a nonempty vector")
-    if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
+    clipped = np.clip(p, 0.0, None)
+    if not (p.min() >= -linalg.SPECTRUM_ATOL and abs(clipped.sum() - 1.0) <= TRACE_ATOL):
         raise ValueError(f"{name} must be a probability vector: nonnegative, summing to 1")
-    return np.clip(p, 0.0, None)
+    return clipped
 
 
 def check_tolerance(tol: float) -> float:
@@ -74,18 +81,14 @@ def check_tolerance(tol: float) -> float:
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, PSD.
 
-    The constructor validates: eigenvalues in [-1e-10, 0) are clamped to
-    zero and the state is renormalized; anything more negative is rejected
-    rather than masked.  Every matrix from outside the library (a JSON
-    file, a caller's array) takes that path.
-
-    Three constructors skip the eigh because their matrix is a density
-    matrix by construction: pure and maximally_mixed, and from_psd for a
-    PSD matrix the library built from checked parts (a Wishart state, a
-    channel image, a half-classical or witness input, a dephased state,
-    a commuting pair).  from_psd takes the Hermitian part and divides by
-    its trace, so an image whose trace is off by a channel's accepted
-    residual (up to d TP_ATOL) is normalized, not rejected at TRACE_ATOL.
+    The constructor validates every matrix from outside the library (a JSON
+    file, a caller's array): eigenvalues in [-SPECTRUM_ATOL, 0) are clamped
+    to zero and the state renormalized; anything more negative is rejected.
+    pure, maximally_mixed and from_psd skip the eigh for matrices that are
+    density matrices by construction.  from_psd normalizes a PSD matrix the
+    library built from checked parts (a Wishart state, a channel image, a
+    half-classical state, a dephased state, a commuting pair), so an image
+    whose trace is off by up to d TP_ATOL is normalized, not rejected.
     """
 
     __slots__ = ("dim", "mat")
@@ -143,11 +146,10 @@ def _validate_density(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"trace is {tr!r}, not 1 within {TRACE_ATOL:.0e}")
     spec = linalg.hermitian_eig(mat)
     wmin = float(spec.eigenvalues[0])
-    if wmin < -PSD_CLAMP:
-        raise ValueError(f"matrix has eigenvalue {wmin:.3e} below -{PSD_CLAMP:.0e}")
+    if wmin < -linalg.SPECTRUM_ATOL:
+        raise ValueError(f"matrix has eigenvalue {wmin:.3e} below -{linalg.SPECTRUM_ATOL:.0e}")
     if wmin < 0:
-        w = np.clip(spec.eigenvalues, 0.0, None)
-        v = spec.eigenvectors
+        w, v = np.clip(spec.eigenvalues, 0.0, None), spec.eigenvectors
         mat = linalg.hermitian_part((v * w) @ v.conj().T)
         mat /= np.real(np.trace(mat))
     else:
@@ -252,7 +254,7 @@ def is_classical_on_b(state: BipartiteState) -> ClassicalityReport:
     da, db = state.dim_a, state.dim_b
     # flat[k * da + l] = C_kl
     flat = block_decompose(state).reshape(da * da, db, db)
-    worst, pair = linalg.worst_commutation_defect(flat, skip=1e-14)
+    worst, pair = linalg.worst_commutation_defect(flat, skip=linalg.ZERO_MEMBER_ATOL)
     return ClassicalityReport(
         is_classical_on_b=worst <= CLASSICALITY_TOL,
         quantumness=worst,

@@ -689,7 +689,7 @@ class TestStructureDetectors:
             assert np.abs(classify._images(ch, eye) - ch.apply_matrix(eye)).max() <= 1e-14
             read = classify._images(ch, classify.hermitian_basis(d))
             assert np.abs(read - np.array(images)).max() <= 1e-14
-            worst, _ = pairwise_worst_defect(images, skip=1e-12)
+            worst, _ = pairwise_worst_defect(images, skip=linalg.ZERO_MEMBER_ATOL)
             found = classify.find_decohering_basis(ch, tol)
             assert (found is not None) == (worst <= tol), ch
             if found is not None:

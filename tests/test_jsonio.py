@@ -170,14 +170,33 @@ class TestWitnessRoundTrip:
         assert back.output_quantumness > 1e-7
         assert abs(np.vdot(back.pair[0], back.pair[1])) < 1e-9
 
-    @pytest.mark.parametrize("entry, match", [({}, "pairs"), (None, "non-finite")])
-    def test_bad_pair_entry_is_a_value_error(self, rng, entry, match):
+    @staticmethod
+    def witness_json(rng) -> dict:
         ch = random_cptp(3, rng)
         verdict = classify.is_commutativity_preserving(ch)
-        obj = jsonio.witness_to_json(classify.witness_from_pair(ch, *verdict.witness_pair))
+        return jsonio.witness_to_json(classify.witness_from_pair(ch, *verdict.witness_pair))
+
+    @pytest.mark.parametrize("entry, match", [({}, "pairs"), (None, "non-finite")])
+    def test_bad_pair_entry_is_a_value_error(self, rng, entry, match):
+        obj = self.witness_json(rng)
         obj["pair"][0][0][0] = entry
         with pytest.raises(ValueError, match=match):
             jsonio.witness_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda obj: "x", "witness JSON must have 'pair', 'input' and 'output'"),
+            (lambda obj: {"pair": 1}, "witness JSON must have 'pair', 'input' and 'output'"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "input"}, "'input'"),
+            (lambda obj: {**obj, "pair": 1}, "'pair' must be a list of two vectors"),
+            (lambda obj: {**obj, "pair": obj["pair"][:1]}, "'pair' must be a list of two vectors"),
+            (lambda obj: {**obj, "output": []}, "state JSON must have"),
+        ],
+    )
+    def test_malformed_witness_is_a_value_error(self, rng, edit, match):
+        with pytest.raises(ValueError, match=match):
+            jsonio.witness_from_json(edit(self.witness_json(rng)))
 
 
 class TestCPVerdictNotes:

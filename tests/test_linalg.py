@@ -108,6 +108,12 @@ class TestEntropy:
             avg = (linalg.von_neumann_entropy(a) + linalg.von_neumann_entropy(b)) / 2
             assert mixed >= avg - 1e-9
 
+    @pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [1.0, np.nan], [-1e-3, 1.0]])
+    def test_nan_or_negative_spectrum_rejected(self, spectrum):
+        # NaN fails "p.min() >= -SPECTRUM_ATOL" as a too negative eigenvalue does
+        with pytest.raises(ValueError, match="eigenvalue"):
+            linalg.von_neumann_entropy(np.array(spectrum))
+
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -186,6 +192,17 @@ class TestWorstCommutationDefect:
         early, pair = linalg.worst_commutation_defect(mats, stop=1.0)
         assert pair[0] == 0 and early > 1.0
         assert early <= full
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_rejected(self, bad):
+        # a NaN member's norm fails "norm > skip", so unchecked it would drop
+        # out and the family would read as commuting
+        member = SZ.copy()
+        member[0, 1] = bad
+        for mats in (np.array([SX, member]), np.array([member])):
+            # the norm of an infinite complex entry warns on the way
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+                linalg.worst_commutation_defect(mats, skip=linalg.ZERO_MEMBER_ATOL)
 
     def test_rejects_non_stacks(self):
         with pytest.raises(ValueError, match="stack"):

@@ -1,6 +1,7 @@
 """Package-wide rules that no single module test covers."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -109,3 +110,93 @@ def test_numpy2_guard_sees_aliases_and_imports():
     assert found == {
         "numpy.vecdot", "numpy.linalg.matrix_transpose", "numpy.linalg.vecdot", "numpy.concat"
     }
+
+
+# Every tolerance is a module-level constant listed in the README's table;
+# a small float literal anywhere else is a tolerance nobody listed.
+README = SRC.parents[1] / "README.md"
+TOLERANCE_NAME = re.compile(r"_(TOL|ATOL|CLAMP)$")
+SMALL = 1e-6
+# (module, function) pairs whose small literals are not tolerances of a check
+SMALL_LITERALS_ALLOWED = {
+    ("classify.py", "_bfgs_update"),  # the 1e-12 curvature guard of the pair ascent
+    ("optimize.py", "nelder_mead"),  # stopping defaults of the simplex kept for perfbench
+}
+
+
+def tolerance_names(tree: ast.Module):
+    """(line, name) for every module-level name ending in _TOL, _ATOL or _CLAMP."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if TOLERANCE_NAME.search(name.id):
+                    yield node.lineno, name.id
+
+
+def small_literals(tree: ast.Module):
+    """(line, enclosing function, value) for float literals below SMALL.
+
+    Module-level assignments are where tolerances live, so they are not
+    searched; a negative literal is a minus applied to a positive one.
+    """
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < SMALL:
+            yield node.lineno, func, node.value
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from visit(node, None)
+
+
+def readme_table() -> str:
+    return "\n".join(line for line in README.read_text().splitlines() if line.startswith("|"))
+
+
+def test_every_tolerance_is_in_the_readme_table():
+    table = readme_table()
+    missing = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in tolerance_names(ast.parse(path.read_text(), filename=str(path)))
+        if f"`{name}`" not in table
+    ]
+    assert missing == []
+
+
+def test_no_small_float_literal_outside_a_constant():
+    found = {
+        (path.name, func, line, value)
+        for path in sorted(SRC.rglob("*.py"))
+        for line, func, value in small_literals(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert {f[:3] for f in found if f[:2] not in SMALL_LITERALS_ALLOWED} == set()
+    # the allow-list names only exceptions that still exist
+    assert {f[:2] for f in found} == SMALL_LITERALS_ALLOWED
+
+
+def test_tolerance_guards_see_defaults_nesting_and_signs():
+    tree = ast.parse(
+        "import math\n"
+        "A_TOL = 1e-9\n"
+        "B_ATOL: float = A_TOL / 3\n"
+        "LIMIT_CLAMP, OTHER = 1e-10, 2\n"
+        "NOT_A_TOLERANCE = 1e-12\n"
+        "def f(x, tol=1e-12):\n"
+        "    y = 1e-3\n"
+        "    def g():\n"
+        "        return -2e-8\n"
+        "    return x > 1e-7\n"
+        "class K:\n"
+        "    SLACK_TOL = 5e-7\n"
+    )
+    assert {name for _, name in tolerance_names(tree)} == {"A_TOL", "B_ATOL", "LIMIT_CLAMP"}
+    assert {(func, value) for _, func, value in small_literals(tree)} == {
+        ("f", 1e-12), ("g", 2e-8), ("f", 1e-7), (None, 5e-7)
+    }
+    assert "`TP_ATOL`" in readme_table()

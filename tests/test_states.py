@@ -280,7 +280,7 @@ class TestClassicalityDetector:
         for st in states:
             rep = is_classical_on_b(st)
             flat = block_decompose(st).reshape(da * da, db, db)
-            ref, _ = pairwise_worst_defect(flat, skip=1e-14)
+            ref, _ = pairwise_worst_defect(flat, skip=linalg.ZERO_MEMBER_ATOL)
             assert rep.quantumness == pytest.approx(ref, rel=1e-12, abs=1e-15)
             assert rep.is_classical_on_b == (ref <= 1e-9)
             if ref > 1e-9:
