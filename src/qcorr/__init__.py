@@ -42,6 +42,7 @@ from .classify import (
     is_mixing_sampled,
     is_unital,
     msf,
+    msf_batch,
     scan_channels,
     verify_msf_bound,
     witness_from_pair,

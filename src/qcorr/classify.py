@@ -24,6 +24,7 @@ non-commuting outputs.  This module provides:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -468,8 +469,9 @@ class CreationWitness:
 
     The input is (|0><0|_A (x) phi + |1><1|_A (x) psi)/2 built from the
     offending orthogonal pair; output_quantumness equals the pair's
-    normalized output commutator defect.  confirmed marks witnesses that
-    clear ten times the decision tolerance.
+    normalized output commutator defect.  tol is the decision tolerance the
+    witness was built at, and confirmed marks witnesses whose output
+    quantumness clears WITNESS_CONFIRM_FACTOR times it.
     """
 
     pair: tuple[np.ndarray, np.ndarray]
@@ -477,7 +479,11 @@ class CreationWitness:
     output_state: BipartiteState
     input_quantumness: float
     output_quantumness: float
-    confirmed: bool
+    tol: float
+
+    @property
+    def confirmed(self) -> bool:
+        return bool(self.output_quantumness > WITNESS_CONFIRM_FACTOR * self.tol)
 
 
 def witness_from_pair(
@@ -505,7 +511,7 @@ def witness_from_pair(
         output_state=out,
         input_quantumness=in_rep.quantumness,
         output_quantumness=out_rep.quantumness,
-        confirmed=out_rep.quantumness > WITNESS_CONFIRM_FACTOR * tol,
+        tol=tol,
     )
 
 
@@ -859,10 +865,12 @@ class MsfResult:
     MSF_ROUNDING |f_upper| of f_upper, which at d >= 3 happens only where
     the bound is tight, as on pure states) or every start met the stopping
     rule (a step gaining at most MSF_STEP_TOL).  evals counts
-    objective-and-gradient evaluations summed over starts, one per
-    candidate: two per active start per step (the polar and the Newton
-    candidate) for d <= MSF_NEWTON_MAX_DIM, one above.  iterations counts
-    the steps of the longest-running start.
+    objective-and-gradient evaluations summed over this state's starts,
+    one per candidate: two per active start per step (the polar and the
+    Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one above.  iterations
+    counts the steps of this state's longest-running start.  When several
+    states climb in one batch (msf_batch), evals, iterations, converged
+    and the budget they are measured against are each state's own.
     """
 
     f_value: float
@@ -874,7 +882,43 @@ class MsfResult:
     f_upper: float
 
 
-def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndarray:
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """np.concatenate, skipped for a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _times_m(x: np.ndarray, m_ts: list[np.ndarray], counts: list[int]) -> np.ndarray:
+    """x times M, state by state: the first counts[0] items of x take m_ts[0], and so on.
+
+    An item's entries flatten to rows of length d^2, and each state's
+    contiguous block of rows takes one 2-D matmul with its own M, so no M
+    is gathered per item.
+    """
+    n = len(m_ts[0])
+    if len(m_ts) == 1:
+        return (x.reshape(-1, n) @ m_ts[0]).reshape(x.shape)
+    parts, lo = [], 0
+    for m_t, count in zip(m_ts, counts):
+        parts.append(x[lo : lo + count].reshape(-1, n) @ m_t)
+        lo += count
+    return np.concatenate(parts).reshape(x.shape)
+
+
+def _rows_times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for a 2-D x, each row rounded alike however many rows x has.
+
+    NumPy multiplies a single row by gemv and several rows by gemm, which
+    round differently.  A lone row is doubled, so a start's Newton step does
+    not depend on which other starts share its batch.
+    """
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ y)[:1]
+    return x @ y
+
+
+def _newton_candidates(
+    u: np.ndarray, g: np.ndarray, m_ts: list[np.ndarray], counts: list[int]
+) -> np.ndarray:
     """One Riemannian Newton step on U(d) per start, retracted by the Cayley map.
 
     In the orthonormal basis H_k of hermitian_basis, f(U e^{iH}) has
@@ -888,7 +932,8 @@ def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndar
     the quadratic model says nothing about the step length, and both full
     steps overshoot.  The phase direction H = I is flat with zero gradient,
     f(e^{it} U) = f(U), so it gets no step.  The step norm is capped at
-    MSF_ESCAPE_RADIUS.
+    MSF_ESCAPE_RADIUS.  The starts of one state are contiguous: the first
+    counts[0] take M from m_ts[0], and so on (_times_m).
     """
     a, d, _ = u.shape
     n = d * d
@@ -896,10 +941,11 @@ def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndar
     k = len(basis)
     cols, t_basis, t_anti = _newton_layouts(d)
     kk = (g.conj().transpose(0, 2, 1) @ u).reshape(a, n)
-    grad = -2 * (kk @ t_basis).imag
+    grad = -2 * _rows_times(kk, t_basis).imag
     uh = (u.reshape(a * d, d) @ cols).reshape(a, d, k, d).transpose(0, 2, 1, 3).reshape(a, k, n)
-    muh = uh @ m_t
-    hess = 2 * ((uh.conj() @ muh.transpose(0, 2, 1)).real - (kk @ t_anti).real.reshape(a, k, k))
+    muh = _times_m(uh, m_ts, counts)
+    anti = _rows_times(kk, t_anti).real.reshape(a, k, k)
+    hess = 2 * ((uh.conj() @ muh.transpose(0, 2, 1)).real - anti)
     curv, vecs = np.linalg.eigh(hess)
     proj = (grad[:, None] @ vecs)[:, 0]
     radius = MSF_ESCAPE_RADIUS
@@ -908,7 +954,7 @@ def _newton_candidates(u: np.ndarray, g: np.ndarray, m_t: np.ndarray) -> np.ndar
     step = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
     norm = np.linalg.norm(step, axis=1, keepdims=True)
     step *= radius / np.maximum(norm, radius)
-    h = ((vecs @ step[..., None])[..., 0] @ basis.reshape(k, n)).reshape(a, d, d)
+    h = _rows_times((vecs @ step[..., None])[..., 0], basis.reshape(k, n)).reshape(a, d, d)
     eye = np.eye(d)
     return u @ np.linalg.solve(eye - 0.5j * h, eye + 0.5j * h)
 
@@ -922,86 +968,149 @@ def msf(
 ) -> MsfResult:
     """Maximize <Phi_U|rho|Phi_U> over unitaries on B by multistart ascent.
 
-    f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U.
-    Each step evaluates the polar factor of the gradient G = M U, which
-    never lowers f (it maximizes the linear minorant 2 Re<V, G> - f(U)).
-    For d <= MSF_NEWTON_MAX_DIM it also evaluates a Riemannian Newton step
-    with saddle escape (_newton_candidates), which converges quadratically
-    near a maximum, and keeps the better of the two.  A step that would
-    lower f is not taken.
-    Start 0 is U = I; the others are Haar draws (one haar_unitaries stack),
-    and all starts step together as one batch.  A start leaves the batch
-    once a step gains at most MSF_STEP_TOL, and the whole ascent ends,
-    every start counted converged, once the bracket closes: the best start
-    is within MSF_STEP_TOL plus MSF_ROUNDING |f_upper| (the rounding of the
-    two evaluations) of f_upper = entangled_fraction_upper(state).
-    f_upper is exact at d = 2, so there the ascent stops as soon as a start
-    reaches the maximum.  budget caps the evaluations summed over starts, one
-    per candidate: when it runs short, the polar candidates come first.
-    budget and starts must be at least 1, because start 0 is always evaluated.
+    This is msf_batch with one state; see there for the ascent, the stops,
+    the budget and the order of the Haar draws.
     """
-    if state.dim_a != state.dim_b:
+    return msf_batch([state], budget=budget, starts=starts, rng=rng)[0]
+
+
+def msf_batch(
+    states: Sequence[BipartiteState],
+    *,
+    budget: int = DEFAULT_BUDGET,
+    starts: int = DEFAULT_STARTS,
+    rng: np.random.Generator,
+) -> tuple[MsfResult, ...]:
+    """msf of several d x d states, climbed together in one batch.
+
+    f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U,
+    with one M per state.  Each step evaluates the polar factor of the
+    gradient G = M U, which never lowers f (it maximizes the linear
+    minorant 2 Re<V, G> - f(U)).  For d <= MSF_NEWTON_MAX_DIM it also
+    evaluates a Riemannian Newton step with saddle escape
+    (_newton_candidates), which converges quadratically near a maximum, and
+    keeps the better of the two.  A step that would lower f is not taken.
+
+    Each state has min(starts, budget) starts: start 0 is U = I and the
+    others are Haar draws from one haar_unitaries call, the first state's
+    draws first, so the results and rng's final state equal those of one
+    msf call per state, in order.  Every start still climbing, of every
+    state, steps in one batch: one polar SVD, one Newton solve and one
+    gradient product per state on its contiguous block of starts.  The
+    stops and the budget are each state's own, as if it climbed alone.  A
+    start leaves the batch once a step gains at most MSF_STEP_TOL, and a
+    state's ascent ends, every start counted converged, once its bracket
+    closes: its best start is within MSF_STEP_TOL plus MSF_ROUNDING
+    |f_upper| (the rounding of the two evaluations) of f_upper =
+    entangled_fraction_upper(state).  f_upper is exact at d = 2, so there
+    the ascent stops as soon as a start reaches the maximum.  budget caps a
+    state's evaluations summed over its starts, one per candidate: when it
+    runs short, the polar candidates come first.  budget and starts must be
+    at least 1, because start 0 is always evaluated.
+    """
+    states = tuple(states)
+    if not states:
+        raise ValueError("msf_batch needs at least one state")
+    if any(st.dim_a != st.dim_b for st in states):
         raise ValueError("maximal entangled fraction needs equal local dimensions")
+    d = states[0].dim_a
+    if any(st.dim_a != d for st in states):
+        raise ValueError("states climbed in one batch need one local dimension")
     if budget < 1 or starts < 1:
         raise ValueError(f"budget and starts must be at least 1, got {budget!r} and {starts!r}")
-    d = state.dim_a
     n = d * d
+    k = len(states)
     # f(U) = sum conj(U[a, i]) rho[(i, a), (j, b)] U[b, j] / d
-    m_t = state.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(n, n).T / d
-
-    def grad_and_value(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = (u.reshape(-1, n) @ m_t).reshape(u.shape)
-        return g, np.einsum("kai,kai->k", u.conj(), g).real
-
-    f_upper = entangled_fraction_upper(state)
+    m_ts = [st.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(n, n).T / d for st in states]
+    f_upper = [entangled_fraction_upper(st) for st in states]
+    close_at = [fu - MSF_STEP_TOL - MSF_ROUNDING * abs(fu) for fu in f_upper]
     n_starts = min(starts, budget)
-    u = np.empty((n_starts, d, d), dtype=complex)
-    u[0] = np.eye(d)
-    u[1:] = haar_unitaries(d, n_starts - 1, rng)
-    g, f = grad_and_value(u)
-    evals = n_starts
-    iterations = 0
-    converged = np.zeros(n_starts, dtype=bool)
-    active = np.arange(n_starts)
+    u = np.empty((k, n_starts, d, d), dtype=complex)
+    u[:, 0] = np.eye(d)
+    u[:, 1:] = haar_unitaries(d, k * (n_starts - 1), rng).reshape(k, n_starts - 1, d, d)
+    u = u.reshape(k * n_starts, d, d)
+    g = _times_m(u, m_ts, [n_starts] * k)
+    f = np.einsum("kai,kai->k", u.conj(), g).real
+    blocks = [slice(s * n_starts, (s + 1) * n_starts) for s in range(k)]
+    evals = [n_starts] * k
+    iterations = [0] * k
+    active = [np.arange(b.start, b.stop) for b in blocks]
+    closed = [f[b].max() >= c for b, c in zip(blocks, close_at)]
+    converged = np.zeros(k * n_starts, dtype=bool)
     use_newton = d <= MSF_NEWTON_MAX_DIM
-    close_at = f_upper - MSF_STEP_TOL - MSF_ROUNDING * abs(f_upper)
-    closed = f.max() >= close_at
-    while active.size and evals < budget and not closed:
-        active = active[: budget - evals]
-        n_newton = min(active.size, budget - evals - active.size) if use_newton else 0
-        w, _, vh = np.linalg.svd(g[active])
-        cand = w @ vh
-        if n_newton:
-            newton = _newton_candidates(u[active[:n_newton]], g[active[:n_newton]], m_t)
-            cand = np.concatenate([cand, newton])
-        g_cand, f_cand = grad_and_value(cand)
-        evals += len(cand)
-        iterations += 1
-        # index of the better candidate per start: the Newton one where it gains more
-        pick = np.arange(active.size)
-        better = f_cand[active.size :] > f_cand[:n_newton]
-        pick[:n_newton][better] += active.size
-        gain = f_cand[pick] - f[active]
+    while True:
+        # (state, its starts stepping now, how many of them also get a Newton candidate)
+        climbing, ms, sizes = [], [], []
+        for s in range(k):
+            left = budget - evals[s]
+            if active[s].size and left > 0 and not closed[s]:
+                act = active[s][:left]
+                nn = min(act.size, left - act.size) if use_newton else 0
+                climbing.append((s, act, nn))
+                ms.append(m_ts[s])
+                sizes.append(act.size + nn)
+        if not climbing:
+            break
+        rows = _join([act for _, act, _ in climbing])
+        w, _, vh = np.linalg.svd(g[rows])
+        polar = w @ vh
+        # the candidates, state by state: its polar candidates, then its Newton ones
+        pieces = [polar]
+        if use_newton:
+            newton_rows = _join([act[:nn] for _, act, nn in climbing])
+            if newton_rows.size:
+                newton = _newton_candidates(
+                    u[newton_rows], g[newton_rows], ms, [nn for *_, nn in climbing]
+                )
+                pieces, r, q = [], 0, 0
+                for _, act, nn in climbing:
+                    pieces += [polar[r : r + act.size], newton[q : q + nn]]
+                    r, q = r + act.size, q + nn
+        cand = _join(pieces)
+        g_cand = _times_m(cand, ms, sizes)
+        f_cand = np.einsum("kai,kai->k", cand.conj(), g_cand).real
+        # index into cand of the better candidate per start: the Newton one where it gains more
+        pick = np.arange(rows.size)
+        c = r = 0
+        for _, act, nn in climbing:
+            if c > r:
+                pick[r : r + act.size] += c - r
+            if nn:
+                better = f_cand[c + act.size : c + act.size + nn] > f_cand[c : c + nn]
+                pick[r : r + nn][better] += act.size
+            c, r = c + act.size + nn, r + act.size
+        gain = f_cand[pick] - f[rows]
         take = gain >= 0
-        u[active[take]] = cand[pick[take]]
-        g[active[take]] = g_cand[pick[take]]
-        f[active[take]] = f_cand[pick[take]]
+        u[rows[take]] = cand[pick[take]]
+        g[rows[take]] = g_cand[pick[take]]
+        f[rows[take]] = f_cand[pick[take]]
         done = gain <= MSF_STEP_TOL
-        converged[active[done]] = True
-        active = active[~done]
-        closed = f.max() >= close_at
+        converged[rows[done]] = True
+        r = 0
+        for s, act, nn in climbing:
+            active[s] = act[~done[r : r + act.size]]
+            evals[s] += act.size + nn
+            iterations[s] += 1
+            closed[s] = f[blocks[s]].max() >= close_at[s]
+            r += act.size
 
-    best = u[int(np.argmax(f))]
-    f_value = entangled_overlap_direct(state, best)
-    return MsfResult(
-        f_value=f_value,
-        fidelity=(d * f_value + 1) / (d + 1),
-        unitary=best,
-        evals=evals,
-        converged=bool(closed or converged.all()),
-        iterations=iterations,
-        f_upper=f_upper,
-    )
+    results = []
+    for s, st in enumerate(states):
+        b = blocks[s]
+        best = u[b][int(np.argmax(f[b]))]
+        f_value = entangled_overlap_direct(st, best)
+        results.append(
+            MsfResult(
+                f_value=f_value,
+                fidelity=(d * f_value + 1) / (d + 1),
+                unitary=best,
+                evals=evals[s],
+                converged=bool(closed[s] or converged[b].all()),
+                iterations=iterations[s],
+                f_upper=f_upper[s],
+            )
+        )
+    return tuple(results)
 
 
 def entangled_fraction_upper(state: BipartiteState) -> float:
@@ -1054,14 +1163,18 @@ def verify_msf_bound(
 
     Rejects non-unital channels outright: the non-improvement claim is made
     only for entropy-non-decreasing (equivalently unital) channels.
-    MSF_SLACK absorbs the optimizer gap between the two searches.
+    MSF_SLACK absorbs the optimizer gap between the two searches.  rho and
+    its image climb together in one msf_batch, rho's Haar starts drawn
+    first, so before and after equal two msf calls on one rng, rho's first;
+    each has its own budget, evals, iterations and converged.
     """
     if channel.dim != state.dim_b:
         raise ValueError("channel dimension must match dim_b")
     if not is_unital(channel):
         raise ValueError("bound check requires a unital channel")
-    before = msf(state, budget=budget, starts=starts, rng=rng)
-    after = msf(channel.apply_local_b(state), budget=budget, starts=starts, rng=rng)
+    before, after = msf_batch(
+        [state, channel.apply_local_b(state)], budget=budget, starts=starts, rng=rng
+    )
     return MsfBoundCheck(
         before=before,
         after=after,

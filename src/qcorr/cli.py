@@ -208,8 +208,9 @@ def _cmd_msf(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             f"bound holds: {bound.holds}",
         ]
         return result, lines, 0
-    before = classify.msf(state, budget=args.budget, rng=rng)
-    after = classify.msf(channel.apply_local_b(state), budget=args.budget, rng=rng)
+    before, after = classify.msf_batch(
+        [state, channel.apply_local_b(state)], budget=args.budget, rng=rng
+    )
     result = {
         "before": jsonio.msf_to_json(before),
         "after": jsonio.msf_to_json(after),
@@ -246,7 +247,8 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = run_selftest(tol=args.tol, seed=args.seed)
     lines = []
     for group, counts in report.group_summary().items():
-        lines.append(f"{group}: {counts['passed']} passed, {counts['failed']} failed")
+        lines.append(f"{group}: {counts['passed']} passed, {counts['failed']} failed "
+                     f"({counts['elapsed_s']:.3f} s)")
     for check in report.checks:
         if not check.passed:
             lines.append(f"  FAIL {check.group}/{check.name}: {check.detail}")

@@ -26,7 +26,7 @@ from .classify import (
     MsfResult,
     ScanReport,
 )
-from .states import BipartiteState, DensityMatrix
+from .states import BipartiteState, DensityMatrix, check_tolerance
 
 CHOI_CONVENTION = (
     "J = (channel x id)(|Phi+><Phi+|) with |Phi+> = d^{-1/2} sum_i |ii>, unit trace; "
@@ -144,28 +144,45 @@ def witness_to_json(w: CreationWitness) -> dict:
         "output": state_to_json(w.output_state),
         "input_quantumness": w.input_quantumness,
         "output_quantumness": w.output_quantumness,
+        "tol": w.tol,
         "confirmed": w.confirmed,
     }
 
 
 def witness_from_json(obj: Any) -> CreationWitness:
+    """A witness from its pair and states, with both quantumness values recomputed.
+
+    confirmed is recomputed too, against the stored tol; a stored
+    "confirmed" flag that disagrees raises.
+    """
     from .states import is_classical_on_b
 
     if not isinstance(obj, dict) or not {"pair", "input", "output"} <= set(obj):
         raise ValueError("witness JSON must have 'pair', 'input' and 'output' fields")
+    if "tol" not in obj:
+        raise ValueError("witness JSON must have the 'tol' it was confirmed against")
+    tol = obj["tol"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ValueError(f"'tol' must be a number, got {tol!r}")
     if not isinstance(obj["pair"], list) or len(obj["pair"]) != 2:
         raise ValueError("'pair' must be a list of two vectors")
     pair = (vector_from_json(obj["pair"][0]), vector_from_json(obj["pair"][1]))
     input_state = state_from_json(obj["input"])
     output_state = state_from_json(obj["output"])
-    return CreationWitness(
+    witness = CreationWitness(
         pair=pair,
         input_state=input_state,
         output_state=output_state,
         input_quantumness=is_classical_on_b(input_state).quantumness,
         output_quantumness=is_classical_on_b(output_state).quantumness,
-        confirmed=bool(obj.get("confirmed", False)),
+        tol=check_tolerance(float(tol)),
     )
+    if "confirmed" in obj and obj["confirmed"] is not witness.confirmed:
+        raise ValueError(
+            f"'confirmed' is {obj['confirmed']!r}, but the output quantumness "
+            f"{witness.output_quantumness:.3e} gives {witness.confirmed} at tol {witness.tol:g}"
+        )
+    return witness
 
 
 def cp_verdict_to_json(v: CPVerdict) -> dict:

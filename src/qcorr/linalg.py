@@ -68,9 +68,10 @@ def worst_commutation_defect(
     mats = np.asarray(mats)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"need an (n, d, d) stack of square matrices, got shape {mats.shape}")
-    norms = np.linalg.norm(mats, axis=(1, 2))
-    if not norms.sum() < np.inf:  # NaN or inf
+    # before any norm, which warns on an infinite complex entry
+    if not np.isfinite(mats).all():
         raise ValueError("family has non-finite entries")
+    norms = np.linalg.norm(mats, axis=(1, 2))
     keep = np.flatnonzero(norms > skip)
     members, norms = mats[keep], norms[keep]
     worst, pair = 0.0, None

@@ -9,6 +9,7 @@ loudly instead of being absorbed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ class Check:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float  # wall time since the previous check was recorded
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,12 @@ class SelftestReport:
         return all(c.passed for c in self.checks)
 
     def group_summary(self) -> dict:
+        """Per group: checks passed and failed, and their elapsed_s summed in order."""
         groups: dict = {}
         for c in self.checks:
-            g = groups.setdefault(c.group, {"passed": 0, "failed": 0})
+            g = groups.setdefault(c.group, {"passed": 0, "failed": 0, "elapsed_s": 0.0})
             g["passed" if c.passed else "failed"] += 1
+            g["elapsed_s"] += c.elapsed_s
         return groups
 
     def to_json(self) -> dict:
@@ -59,7 +63,8 @@ class SelftestReport:
             "passed": self.passed,
             "groups": self.group_summary(),
             "checks": [
-                {"group": c.group, "name": c.name, "passed": c.passed, "detail": c.detail}
+                {"group": c.group, "name": c.name, "passed": c.passed, "detail": c.detail,
+                 "elapsed_s": c.elapsed_s}
                 for c in self.checks
             ],
         }
@@ -67,9 +72,14 @@ class SelftestReport:
 
 def run_selftest(tol: float = CP_TOL, seed: int = 7) -> SelftestReport:
     checks: list[Check] = []
+    last = time.perf_counter()
 
     def record(group: str, name: str, passed: bool, detail: str) -> None:
-        checks.append(Check(group, name, bool(passed), detail))
+        # each check runs between the previous record and this one
+        nonlocal last
+        now = time.perf_counter()
+        checks.append(Check(group, name, bool(passed), detail, now - last))
+        last = now
 
     rng = rng_from_seed(seed)
 

@@ -1044,6 +1044,60 @@ class TestMsfBound:
             assert bound.holds
 
 
+def assert_same_search(batched: classify.MsfResult, alone: classify.MsfResult) -> None:
+    assert abs(batched.f_value - alone.f_value) <= 1e-12
+    assert batched.f_upper == alone.f_upper
+    assert (batched.iterations, batched.evals, batched.converged) == (
+        alone.iterations, alone.evals, alone.converged
+    )
+
+
+class TestMsfBatch:
+    """One batched bound check equals two msf calls on one rng, rho first."""
+
+    STARTS = 4
+
+    @pytest.mark.parametrize("d", [2, 3, 4])  # d = 4 climbs by the polar step alone
+    @pytest.mark.parametrize("budget", [1, STARTS, STARTS + 1, 2 * STARTS + 1, 2000])
+    def test_bound_equals_two_sequential_searches(self, d, budget):
+        state = random_bipartite(d, d, rng_from_seed(80 + d))
+        ch = random_unital_mixture(d, rng_from_seed(90 + d), n_unitaries=3)
+        batched_rng, serial_rng = rng_from_seed(95), rng_from_seed(95)
+        bound = classify.verify_msf_bound(
+            state, ch, budget=budget, starts=self.STARTS, rng=batched_rng
+        )
+        before = classify.msf(state, budget=budget, starts=self.STARTS, rng=serial_rng)
+        after = classify.msf(
+            ch.apply_local_b(state), budget=budget, starts=self.STARTS, rng=serial_rng
+        )
+        assert_same_search(bound.before, before)
+        assert_same_search(bound.after, after)
+        assert bound.before.evals <= budget and bound.after.evals <= budget
+        assert np.array_equal(batched_rng.standard_normal(8), serial_rng.standard_normal(8))
+
+    def test_one_side_closes_at_start_the_other_climbs(self):
+        # U = I attains F = 1 on the Bell state, so its bracket closes before
+        # any step; its image under a unital mixture keeps climbing alone
+        ch = random_unital_mixture(2, rng_from_seed(96), n_unitaries=3)
+        batched_rng, serial_rng = rng_from_seed(97), rng_from_seed(97)
+        bound = classify.verify_msf_bound(bell_44(), ch, rng=batched_rng)
+        assert bound.before.iterations == 0 and bound.before.converged
+        assert bound.after.iterations > 0
+        before = classify.msf(bell_44(), rng=serial_rng)
+        after = classify.msf(ch.apply_local_b(bell_44()), rng=serial_rng)
+        assert_same_search(bound.before, before)
+        assert_same_search(bound.after, after)
+        assert np.array_equal(batched_rng.standard_normal(8), serial_rng.standard_normal(8))
+
+    def test_rejects_mixed_dimensions_and_empty_batches(self, rng):
+        with pytest.raises(ValueError, match="one local dimension"):
+            classify.msf_batch(
+                [random_bipartite(2, 2, rng), random_bipartite(3, 3, rng)], rng=rng_from_seed(1)
+            )
+        with pytest.raises(ValueError, match="at least one state"):
+            classify.msf_batch([], rng=rng_from_seed(1))
+
+
 class TestScan:
     def test_qutrit_scan_clean(self):
         report = classify.scan_channels(3, 18, seed=41, budget=8000)

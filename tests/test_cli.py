@@ -10,11 +10,12 @@ from helpers import amplitude_damping
 
 import qcorr
 from qcorr import channels as chn
-from qcorr import jsonio
+from qcorr import classify, jsonio
 from qcorr.channels import maximally_entangled_ket
 from qcorr.cli import main
 from qcorr.sampling import (
     haar_unitary,
+    random_bipartite,
     random_cptp,
     random_isotropic,
     random_unital_mixture,
@@ -332,6 +333,33 @@ class TestMsfCommand:
         assert bound["after"]["F"] == pytest.approx((1 + 3 * 0.5) / 4, abs=1e-8)
         assert bound["holds"]
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_unital_pair_equals_two_sequential_searches(self, files, capsys, d):
+        # the non-unital branch climbs rho and its image in one batch; the
+        # result equals two msf calls on one rng, rho first
+        _, write = files
+        spath = write("state.json", jsonio.state_to_json(random_bipartite(d, d, rng_from_seed(11))))
+        cpath = write("cptp.json", jsonio.channel_to_json(random_cptp(d, rng_from_seed(12))))
+        code, out, _ = run(
+            capsys,
+            ["msf", "--in", spath, "--channel", cpath, "--seed", "13", "--budget", "900",
+             "--format", "json"],
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert "not unital" in result["note"]
+        state = jsonio.state_from_json(jsonio.load(spath))
+        channel = jsonio.channel_from_json(jsonio.load(cpath))
+        rng = rng_from_seed(13)
+        for key, st in (("before", state), ("after", channel.apply_local_b(state))):
+            alone = classify.msf(st, budget=900, rng=rng)
+            got = result[key]
+            assert abs(got["F"] - alone.f_value) <= 1e-12
+            assert got["F_upper"] == alone.f_upper
+            assert (got["iterations"], got["evals"], got["converged"]) == (
+                alone.iterations, alone.evals, alone.converged
+            )
+
     def test_require_mixing_rejects_non_unital(self, files, capsys):
         _, write = files
         bell = BipartiteState(2, 2, DensityMatrix.pure(maximally_entangled_ket(2)))
@@ -436,6 +464,17 @@ class TestSelftestCommand:
         code, out, _ = run(capsys, ["selftest", "--seed", "10"])
         assert code == 0
         assert "selftest PASSED" in out
+
+    def test_per_check_timing(self, capsys):
+        code, out, _ = run(capsys, ["selftest", "--seed", "10", "--format", "json"])
+        assert code == 0
+        report = json.loads(out)["result"]
+        assert all(check["elapsed_s"] >= 0 for check in report["checks"])
+        for group, summary in report["groups"].items():
+            times = [c["elapsed_s"] for c in report["checks"] if c["group"] == group]
+            assert summary["elapsed_s"] == pytest.approx(sum(times), rel=1e-12, abs=0)
+        code, out, _ = run(capsys, ["selftest", "--seed", "10"])
+        assert "linalg: 3 passed, 0 failed (" in out
 
     def test_absurd_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--seed", "10", "--tol", "1e-20"])

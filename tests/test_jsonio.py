@@ -170,6 +170,28 @@ class TestWitnessRoundTrip:
         assert back.output_quantumness > 1e-7
         assert abs(np.vdot(back.pair[0], back.pair[1])) < 1e-9
 
+    def test_confirmed_is_recomputed_against_the_stored_tol(self, rng):
+        obj = json.loads(json.dumps(self.witness_json(rng)))
+        assert obj["tol"] == classify.CP_TOL and obj["confirmed"] is True
+        back = jsonio.witness_from_json(obj)
+        assert back.tol == classify.CP_TOL and back.confirmed
+        # the same witness judged at a tol its output quantumness does not clear
+        obj["tol"] = back.output_quantumness
+        with pytest.raises(ValueError, match="'confirmed' is True"):
+            jsonio.witness_from_json(obj)
+        obj["confirmed"] = False
+        assert not jsonio.witness_from_json(obj).confirmed
+
+    def test_edited_confirmed_flag_is_rejected(self):
+        # depolarizing preserves commutativity: every pair's output
+        # quantumness is 0, so a witness of it can never be confirmed
+        w = classify.witness_from_pair(chn.depolarizing(2, 0.5), np.eye(2)[0], np.eye(2)[1])
+        obj = json.loads(json.dumps(jsonio.witness_to_json(w)))
+        assert obj["output_quantumness"] == 0.0 and obj["confirmed"] is False
+        obj["confirmed"] = True
+        with pytest.raises(ValueError, match="'confirmed' is True"):
+            jsonio.witness_from_json(obj)
+
     @staticmethod
     def witness_json(rng) -> dict:
         ch = random_cptp(3, rng)
@@ -192,6 +214,10 @@ class TestWitnessRoundTrip:
             (lambda obj: {**obj, "pair": 1}, "'pair' must be a list of two vectors"),
             (lambda obj: {**obj, "pair": obj["pair"][:1]}, "'pair' must be a list of two vectors"),
             (lambda obj: {**obj, "output": []}, "state JSON must have"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "tol"}, "'tol'"),
+            (lambda obj: {**obj, "tol": "1e-7"}, "'tol' must be a number"),
+            (lambda obj: {**obj, "tol": -1.0}, "tol must be finite and positive"),
+            (lambda obj: {**obj, "confirmed": 1}, "'confirmed' is 1"),
         ],
     )
     def test_malformed_witness_is_a_value_error(self, rng, edit, match):
