@@ -822,9 +822,9 @@ MSF_ROUNDING = 16 * np.finfo(float).eps
 MSF_SLACK = 1e-6
 MSF_ESCAPE_RADIUS = 1.0
 MSF_FLAT_FRACTION = 0.02
-# The Newton step costs O(d^6) per start (its Hessian and eigh) against
-# O(d^4) for the polar step.  Timed on a 2-vCPU x86-64 machine with
-# OpenBLAS, its fewer steps pay for that at d = 2 and 3;
+# The Newton step costs O(d^6) per start (its (d^2 - 1)-square Hessian and
+# eigh) against O(d^4) for the polar step.  Timed on a 2-vCPU x86-64
+# machine with OpenBLAS, its fewer steps pay for that at d = 2 and 3;
 # at d = 4 and 5 the total time is about even and the median check slower,
 # and at d = 6 and 8 it is slower, so larger d climbs by the polar step
 # alone.
@@ -832,15 +832,34 @@ MSF_NEWTON_MAX_DIM = 3
 
 
 @lru_cache(maxsize=None)
+def _traceless_basis(d: int) -> np.ndarray:
+    """An orthonormal basis of the traceless Hermitian d x d matrices, (d^2 - 1, d, d).
+
+    The d - 1 diagonal generators diag(1, ..., 1, -j, 0, ..., 0) /
+    sqrt(j (j + 1)) (j ones, j = 1 .. d - 1) come first, then the
+    off-diagonal units of hermitian_basis.  Orthonormal in tr(A B).
+    Cached per d and read-only.
+    """
+    out = np.zeros((d * d - 1, d, d), dtype=complex)
+    for j in range(1, d):
+        out[j - 1, np.arange(j), np.arange(j)] = 1.0
+        out[j - 1, j, j] = -j
+        out[j - 1] /= np.sqrt(j * (j + 1))
+    out[d - 1 :] = hermitian_basis(d)[d:]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _newton_layouts(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hermitian_basis(d) laid out for the Newton step's contractions.
+    """_traceless_basis(d) laid out for the Newton model's contractions.
 
     Returns (cols, t_basis, t_anti), read-only: cols lays the H_k side by
     side, so U @ cols holds every U H_k; for any K, K.reshape(d^2) @ t_basis
     gives tr(K H_k) and K.reshape(d^2) @ t_anti gives tr(K {H_k, H_l}/2),
     flattened over k, l.  Cached per d.
     """
-    basis = hermitian_basis(d)
+    basis = _traceless_basis(d)
     k = len(basis)
     prods = basis[:, None] @ basis[None, :]
     anti = (prods + prods.transpose(1, 0, 2, 3)) / 2
@@ -867,8 +886,9 @@ class MsfResult:
     rule (a step gaining at most MSF_STEP_TOL).  evals counts
     objective-and-gradient evaluations summed over this state's starts,
     one per candidate: two per active start per step (the polar and the
-    Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one above.  iterations
-    counts the steps of this state's longest-running start.  When several
+    Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one above, however a
+    candidate is computed (the polar factor is a closed form at d = 2).
+    iterations counts the steps of this state's longest-running start.  When several
     states climb in one batch (msf_batch), evals, iterations, converged
     and the budget they are measured against are each state's own.
     """
@@ -880,6 +900,13 @@ class MsfResult:
     converged: bool
     iterations: int
     f_upper: float
+
+
+def _overlap_matrix(state: BipartiteState) -> np.ndarray:
+    """M^T for f(U) = vec(U)^dag M vec(U), so that U.reshape(d^2) @ M^T is vec(M U)."""
+    d = state.dim_a
+    # f(U) = sum conj(U[a, i]) rho[(i, a), (j, b)] U[b, j] / d
+    return state.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d).T / d
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -916,36 +943,49 @@ def _rows_times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
-def _newton_candidates(
+def _newton_model(
     u: np.ndarray, g: np.ndarray, m_ts: list[np.ndarray], counts: list[int]
-) -> np.ndarray:
-    """One Riemannian Newton step on U(d) per start, retracted by the Cayley map.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of f(U e^{iH}) at H = 0 per start, (a, k) and (a, k, k).
 
-    In the orthonormal basis H_k of hermitian_basis, f(U e^{iH}) has
-    gradient g_k = -2 Im tr(K H_k) and Hessian 2 [Re<U H_k, M U H_l> -
-    Re tr(K {H_k, H_l}/2)], with K = G^dag U.  Along eigenvectors
-    of negative curvature the step is Newton's; along those of positive
-    curvature (a saddle or a minimum) it is MSF_ESCAPE_RADIUS times the
-    sign of the gradient component, which escapes saddles.  A curvature
-    within MSF_FLAT_FRACTION of the largest |curvature| of zero counts as
-    flat and takes the gradient component over that floor instead: there
-    the quadratic model says nothing about the step length, and both full
-    steps overshoot.  The phase direction H = I is flat with zero gradient,
-    f(e^{it} U) = f(U), so it gets no step.  The step norm is capped at
-    MSF_ESCAPE_RADIUS.  The starts of one state are contiguous: the first
+    In the orthonormal basis H_k of _traceless_basis, the gradient is
+    g_k = -2 Im tr(K H_k) and the Hessian 2 [Re<U H_k, M U H_l> -
+    Re tr(K {H_k, H_l}/2)], with K = G^dag U.  The phase direction H = I
+    is left out: f(e^{it} U) = f(U), so its gradient and its row of the
+    Hessian vanish.  The starts of one state are contiguous: the first
     counts[0] take M from m_ts[0], and so on (_times_m).
     """
     a, d, _ = u.shape
     n = d * d
-    basis = hermitian_basis(d)
-    k = len(basis)
     cols, t_basis, t_anti = _newton_layouts(d)
+    k = t_basis.shape[1]
     kk = (g.conj().transpose(0, 2, 1) @ u).reshape(a, n)
     grad = -2 * _rows_times(kk, t_basis).imag
     uh = (u.reshape(a * d, d) @ cols).reshape(a, d, k, d).transpose(0, 2, 1, 3).reshape(a, k, n)
     muh = _times_m(uh, m_ts, counts)
     anti = _rows_times(kk, t_anti).real.reshape(a, k, k)
-    hess = 2 * ((uh.conj() @ muh.transpose(0, 2, 1)).real - anti)
+    return grad, 2 * ((uh.conj() @ muh.transpose(0, 2, 1)).real - anti)
+
+
+def _newton_candidates(
+    u: np.ndarray, g: np.ndarray, m_ts: list[np.ndarray], counts: list[int]
+) -> np.ndarray:
+    """One Riemannian Newton step on U(d) per start, retracted by the Cayley map.
+
+    The model is _newton_model's, on the d^2 - 1 traceless generators, so
+    its eigh is (d^2 - 1)-square.  Along eigenvectors of negative
+    curvature the step is Newton's; along those of positive curvature (a
+    saddle or a minimum) it is MSF_ESCAPE_RADIUS times the sign of the
+    gradient component, which escapes saddles.  A curvature
+    within MSF_FLAT_FRACTION of the largest |curvature| of zero counts as
+    flat and takes the gradient component over that floor instead: there
+    the quadratic model says nothing about the step length, and both full
+    steps overshoot.  The step norm is capped at MSF_ESCAPE_RADIUS.
+    """
+    a, d, _ = u.shape
+    basis = _traceless_basis(d)
+    k = len(basis)
+    grad, hess = _newton_model(u, g, m_ts, counts)
     curv, vecs = np.linalg.eigh(hess)
     proj = (grad[:, None] @ vecs)[:, 0]
     radius = MSF_ESCAPE_RADIUS
@@ -954,7 +994,7 @@ def _newton_candidates(
     step = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
     norm = np.linalg.norm(step, axis=1, keepdims=True)
     step *= radius / np.maximum(norm, radius)
-    h = _rows_times((vecs @ step[..., None])[..., 0], basis.reshape(k, n)).reshape(a, d, d)
+    h = _rows_times((vecs @ step[..., None])[..., 0], basis.reshape(k, d * d)).reshape(a, d, d)
     eye = np.eye(d)
     return u @ np.linalg.solve(eye - 0.5j * h, eye + 0.5j * h)
 
@@ -995,8 +1035,10 @@ def msf_batch(
     others are Haar draws from one haar_unitaries call, the first state's
     draws first, so the results and rng's final state equal those of one
     msf call per state, in order.  Every start still climbing, of every
-    state, steps in one batch: one polar SVD, one Newton solve and one
-    gradient product per state on its contiguous block of starts.  The
+    state, steps in one batch: one linalg.polar_factors call (a closed
+    form at d = 2, one batched SVD above), for d <= MSF_NEWTON_MAX_DIM one
+    Newton model with its (d^2 - 1)-square eigh and one Cayley solve, and
+    one gradient product per state on its contiguous block of starts.  The
     stops and the budget are each state's own, as if it climbed alone.  A
     start leaves the batch once a step gains at most MSF_STEP_TOL, and a
     state's ascent ends, every start counted converged, once its bracket
@@ -1018,10 +1060,8 @@ def msf_batch(
         raise ValueError("states climbed in one batch need one local dimension")
     if budget < 1 or starts < 1:
         raise ValueError(f"budget and starts must be at least 1, got {budget!r} and {starts!r}")
-    n = d * d
     k = len(states)
-    # f(U) = sum conj(U[a, i]) rho[(i, a), (j, b)] U[b, j] / d
-    m_ts = [st.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(n, n).T / d for st in states]
+    m_ts = [_overlap_matrix(st) for st in states]
     f_upper = [entangled_fraction_upper(st) for st in states]
     close_at = [fu - MSF_STEP_TOL - MSF_ROUNDING * abs(fu) for fu in f_upper]
     n_starts = min(starts, budget)
@@ -1052,8 +1092,7 @@ def msf_batch(
         if not climbing:
             break
         rows = _join([act for _, act, _ in climbing])
-        w, _, vh = np.linalg.svd(g[rows])
-        polar = w @ vh
+        polar = linalg.polar_factors(g[rows])
         # the candidates, state by state: its polar candidates, then its Newton ones
         pieces = [polar]
         if use_newton:
@@ -1081,9 +1120,10 @@ def msf_batch(
             c, r = c + act.size + nn, r + act.size
         gain = f_cand[pick] - f[rows]
         take = gain >= 0
-        u[rows[take]] = cand[pick[take]]
-        g[rows[take]] = g_cand[pick[take]]
-        f[rows[take]] = f_cand[pick[take]]
+        dst, src = rows[take], pick[take]
+        u[dst] = cand[src]
+        g[dst] = g_cand[src]
+        f[dst] = f_cand[src]
         done = gain <= MSF_STEP_TOL
         converged[rows[done]] = True
         r = 0
@@ -1113,6 +1153,11 @@ def msf_batch(
     return tuple(results)
 
 
+# the two-qubit magic basis, one state per column
+_MAGIC = np.array([[1, 0, 0, 1], [-1j, 0, 0, 1j], [0, 1, -1, 0], [0, -1j, -1j, 0]]).T / np.sqrt(2)
+_MAGIC.setflags(write=False)
+
+
 def entangled_fraction_upper(state: BipartiteState) -> float:
     """An upper bound on F, exact at d = 2.
 
@@ -1125,10 +1170,7 @@ def entangled_fraction_upper(state: BipartiteState) -> float:
     """
     d = state.dim_a
     if d == 2:
-        magic = np.array(
-            [[1, 0, 0, 1], [-1j, 0, 0, 1j], [0, 1, -1, 0], [0, -1j, -1j, 0]]
-        ).T / np.sqrt(2)
-        return float(np.linalg.eigvalsh((magic.conj().T @ state.mat @ magic).real)[-1])
+        return float(np.linalg.eigvalsh((_MAGIC.conj().T @ state.mat @ _MAGIC).real)[-1])
     pt = state.mat.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
     top = np.linalg.eigvalsh(state.mat)[-1]
     return float(min(top, np.abs(np.linalg.eigvalsh(pt)).sum() / d))

@@ -126,6 +126,37 @@ def von_neumann_entropy(eigenvalues_or_rho: np.ndarray) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
+def polar_factors(g: np.ndarray) -> np.ndarray:
+    """Unitary polar factors W V^dag of a stack (n, d, d), G = W S V^dag.
+
+    At d = 2 by the closed form (G + e^{i phi} adj(G)^dag) / (s_1 + s_2),
+    e^{i phi} the phase of det G (1 when det G = 0).  For any unit phase
+    the numerator has rows (p, q) and (-e^{i phi} q*, e^{i phi} p*), a
+    multiple of a unitary, so its second row is built from its first and
+    s_1 + s_2 is the first row's norm.  A zero G gives I, as the SVD does;
+    a rank-1 G gives a unitary V with Re tr(V^dag G) = s_1.  Above d = 2 by
+    one batched SVD.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.shape[1:] != (2, 2):
+        w, _, vh = np.linalg.svd(g)
+        return w @ vh
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    mag = np.abs(det)
+    phase = np.divide(det, mag, out=np.ones_like(det), where=mag > 0)
+    num = np.empty_like(g)
+    num[:, 0, 0] = g[:, 0, 0] + phase * g[:, 1, 1].conj()
+    num[:, 0, 1] = g[:, 0, 1] - phase * g[:, 1, 0].conj()
+    num[:, 1, 0] = -phase * num[:, 0, 1].conj()
+    num[:, 1, 1] = phase * num[:, 0, 0].conj()
+    scale = np.linalg.norm(num[:, 0], axis=1)
+    zero = scale == 0
+    if zero.any():
+        scale[zero] = 1.0
+        num[zero] = np.eye(2)
+    return num / scale[:, None, None]
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor indexing the outer blocks."""
     return np.kron(np.asarray(a), np.asarray(b))

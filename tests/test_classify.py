@@ -958,6 +958,21 @@ class TestMsf:
                 if d == 2:
                     assert abs(res.f_value - exact_entangled_fraction_2q(st.mat)) <= 1e-12, i
 
+    @pytest.mark.parametrize("name", ["00", "01", "singlet", "rank2_mixture"])
+    def test_edge_states_reach_the_closed_form(self, name):
+        # |01> has G = 0 at U = I, and the rank-deficient states give
+        # rank-deficient gradients: the polar step's degenerate inputs
+        kets = {"00": [1, 0, 0, 0], "01": [0, 1, 0, 0], "singlet": [0, 1, -1, 0]}
+        if name in kets:
+            ket = np.array(kets[name], dtype=complex)
+            mat = np.outer(ket, ket) / (ket @ ket)
+        else:
+            mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        st = BipartiteState(2, 2, DensityMatrix(mat))
+        res = classify.msf(st, budget=6000, starts=12, rng=rng_from_seed(98))
+        assert abs(res.f_value - exact_entangled_fraction_2q(mat)) <= 1e-12
+        assert res.converged
+
     def test_budget_accounting(self):
         # a step costs one evaluation per candidate: two per active start
         # up to MSF_NEWTON_MAX_DIM, one above it
@@ -1012,6 +1027,51 @@ class TestMsf:
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):
             classify.msf(random_bipartite(2, 3, rng), rng=rng_from_seed(37))
+
+
+def unitary_exp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U e^{iX} for a Hermitian X."""
+    lam, v = np.linalg.eigh(x)
+    return u @ (v * np.exp(1j * lam)) @ v.conj().T
+
+
+class TestNewtonModel:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_basis_is_traceless_and_orthonormal(self, d):
+        basis = classify._traceless_basis(d)
+        assert basis.shape == (d * d - 1, d, d)
+        assert np.abs(basis - basis.conj().transpose(0, 2, 1)).max() == 0
+        assert np.abs(np.trace(basis, axis1=1, axis2=2)).max() <= 1e-15
+        gram = np.einsum("kij,lji->kl", basis, basis)
+        assert np.abs(gram - np.eye(d * d - 1)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gradient_and_hessian_match_central_differences(self, d):
+        t = 1e-4
+        basis = classify._traceless_basis(d)
+        k = len(basis)
+        for i in range(3):
+            st = random_bipartite(d, d, substream(0xE4 + d, 2 * i))
+            u = haar_unitary(d, substream(0xE4 + d, 2 * i + 1))
+            m_t = classify._overlap_matrix(st)
+            g = (u.reshape(d * d) @ m_t).reshape(d, d)
+            grad, hess = classify._newton_model(u[None], g[None], [m_t], [1])
+
+            def f(x):
+                return classify.entangled_overlap_direct(st, unitary_exp(u, x))
+
+            fd_grad = np.array([(f(t * h) - f(-t * h)) / (2 * t) for h in basis])
+            fd_hess = np.empty((k, k))
+            for a in range(k):
+                for b in range(k):
+                    fd_hess[a, b] = (
+                        f(t * (basis[a] + basis[b]))
+                        - f(t * (basis[a] - basis[b]))
+                        - f(t * (basis[b] - basis[a]))
+                        + f(-t * (basis[a] + basis[b]))
+                    ) / (4 * t * t)
+            assert np.abs(grad[0] - fd_grad).max() <= 1e-6 * np.abs(grad[0]).max(), (d, i)
+            assert np.abs(hess[0] - fd_hess).max() <= 1e-6 * np.abs(hess[0]).max(), (d, i)
 
 
 class TestMsfBound:

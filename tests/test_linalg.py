@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,40 @@ class TestSimultaneousDiagonalization:
             assert linalg.frobenius(t - np.diag(np.diag(t))) <= tol * (1 + linalg.frobenius(m))
         with pytest.raises(ValueError, match="non-normal"):
             linalg.simultaneous_diagonalization([j * 1e3, np.diag([1.0, 2.0])])
+
+
+def unitarity_defect(stack):
+    return np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(stack.shape[-1])).max()
+
+
+class TestPolarFactors:
+    """Polar factors of a stack: closed form at 2 x 2, one batched SVD above."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_polar_factor_equals_svd(self, d):
+        rng = rng_from_seed(41)
+        g = rng.standard_normal((200, d, d)) + 1j * rng.standard_normal((200, d, d))
+        w, _, vh = np.linalg.svd(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            polar = linalg.polar_factors(g)
+        assert np.abs(polar - w @ vh).max() <= 1e-14
+        assert unitarity_defect(polar) <= 1e-14
+
+    def test_polar_factor_of_rank_one_and_zero(self):
+        rng = rng_from_seed(42)
+        x = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        y = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        g = np.concatenate([x[:, :, None] * y[:, None, :].conj(), np.zeros((1, 2, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            polar = linalg.polar_factors(g)
+        assert unitarity_defect(polar) <= 1e-14
+        # the null direction is free, but V still attains the top singular value
+        sigma1 = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+        attained = np.einsum("kij,kij->k", polar[:-1].conj(), g[:-1]).real
+        assert np.abs(attained - sigma1).max() <= 1e-14 * sigma1.max()
+        assert np.array_equal(polar[-1], np.eye(2))
 
 
 class TestTensorAndPartialTrace:

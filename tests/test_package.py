@@ -115,7 +115,7 @@ def test_numpy2_guard_sees_aliases_and_imports():
 # Every tolerance is a module-level constant listed in the README's table;
 # a small float literal anywhere else is a tolerance nobody listed.
 README = SRC.parents[1] / "README.md"
-TOLERANCE_NAME = re.compile(r"_(TOL|ATOL|CLAMP)$")
+TOLERANCE_NAME = re.compile(r"_(R?TOL|ATOL|CLAMP|SLACK|ROUNDING)$")
 SMALL = 1e-6
 # (module, function) pairs whose small literals are not tolerances of a check
 SMALL_LITERALS_ALLOWED = {
@@ -125,7 +125,7 @@ SMALL_LITERALS_ALLOWED = {
 
 
 def tolerance_names(tree: ast.Module):
-    """(line, name) for every module-level name ending in _TOL, _ATOL or _CLAMP."""
+    """(line, name) for every module-level name with a TOLERANCE_NAME suffix."""
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -186,7 +186,13 @@ def test_tolerance_guards_see_defaults_nesting_and_signs():
         "A_TOL = 1e-9\n"
         "B_ATOL: float = A_TOL / 3\n"
         "LIMIT_CLAMP, OTHER = 1e-10, 2\n"
+        "STOP_RTOL = 1e-6\n"
+        "BOUND_SLACK = 1e-6\n"
+        "SUM_ROUNDING = 16 * 2.2e-16\n"
         "NOT_A_TOLERANCE = 1e-12\n"
+        "SLACKNESS = 1e-9\n"
+        "ROUNDING_MODE = 'even'\n"
+        "XRTOLS = 1e-9\n"
         "def f(x, tol=1e-12):\n"
         "    y = 1e-3\n"
         "    def g():\n"
@@ -195,7 +201,9 @@ def test_tolerance_guards_see_defaults_nesting_and_signs():
         "class K:\n"
         "    SLACK_TOL = 5e-7\n"
     )
-    assert {name for _, name in tolerance_names(tree)} == {"A_TOL", "B_ATOL", "LIMIT_CLAMP"}
+    assert {name for _, name in tolerance_names(tree)} == {
+        "A_TOL", "B_ATOL", "LIMIT_CLAMP", "STOP_RTOL", "BOUND_SLACK", "SUM_ROUNDING"
+    }
     assert {(func, value) for _, func, value in small_literals(tree)} == {
         ("f", 1e-12), ("g", 2e-8), ("f", 1e-7), (None, 5e-7)
     }
