@@ -108,17 +108,6 @@ class CPVerdict:
     band: bool
 
 
-def pair_from_coords(theta: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthogonal pure pair parameterized by generator coordinates.
-
-    Only the reference test of kernels.pair_violation uses it; both stay
-    while perfbench looks that kernel up by name.
-    """
-    d = u0.shape[0]
-    w = u0 @ kernels.expi_hermitian(kernels.unpack_hermitian(np.asarray(theta, float), d))
-    return np.asarray(w)[:, 0].copy(), np.asarray(w)[:, 1].copy()
-
-
 def pair_violation_direct(channel: chn.KrausChannel, phi: np.ndarray, psi: np.ndarray) -> float:
     """Normalized ||[L(phi phi^dag), L(psi psi^dag)]||_F via the dense path.
 
@@ -639,15 +628,6 @@ class IsotropicFit:
     u: np.ndarray | None
 
 
-def _polar_unitary(k: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(k)
-    w = u @ vh
-    # gauge: make the largest-magnitude entry real positive
-    idx = np.unravel_index(np.argmax(np.abs(w)), w.shape)
-    ph = w[idx] / abs(w[idx])
-    return w / ph
-
-
 def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> IsotropicFit | None:
     """Detect L = p Gamma + (1-p) I/d with spectrum-preserving Gamma.
 
@@ -686,7 +666,10 @@ def fit_isotropic(channel: chn.KrausChannel, *, tol: float = CP_TOL) -> Isotropi
             if not lo - slack <= p <= hi + slack:
                 continue
             # units[i, j][a, b] = u[a, i] conj(u[b, j]), so this column is u conj(u[b, j])
-            u = _polar_unitary(units[:, j, :, b].T)
+            w = linalg.polar_factors(units[:, j, :, b].T[None])[0]
+            # gauge: make the largest-magnitude entry real positive
+            top = w.flat[np.argmax(np.abs(w))]
+            u = w / (top / abs(top))
             resid = units - np.einsum("ai,bj->ijab", u, u.conj())
             if abs(p) * np.linalg.norm(resid, axis=(2, 3)).max() <= tol:
                 return IsotropicFit(p=float(p), gamma=gamma, u=u)
@@ -824,11 +807,14 @@ MSF_ESCAPE_RADIUS = 1.0
 MSF_FLAT_FRACTION = 0.02
 # The Newton step costs O(d^6) per start (its (d^2 - 1)-square Hessian and
 # eigh) against O(d^4) for the polar step.  Timed on a 2-vCPU x86-64
-# machine with OpenBLAS, its fewer steps pay for that at d = 2 and 3;
-# at d = 4 and 5 the total time is about even and the median check slower,
-# and at d = 6 and 8 it is slower, so larger d climbs by the polar step
-# alone.
-MSF_NEWTON_MAX_DIM = 3
+# machine with one OpenBLAS thread, its fewer steps pay for that up to
+# d = 4: there the median verify_msf_bound on a Hilbert-Schmidt state and
+# its image under a 3-unitary mixture fell 70 -> 40 ms, and msf on
+# Hilbert-Schmidt states 28 -> 17 ms.  At d = 5 msf on those states is
+# about even (slower on 5 of 8 states in one run, 3 of 8 in another) and
+# from d = 6 on it is slower, so from d = 5 on msf climbs by the polar
+# step alone.
+MSF_NEWTON_MAX_DIM = 4
 
 
 @lru_cache(maxsize=None)
@@ -922,13 +908,11 @@ def _times_m(x: np.ndarray, m_ts: list[np.ndarray], counts: list[int]) -> np.nda
     is gathered per item.
     """
     n = len(m_ts[0])
-    if len(m_ts) == 1:
-        return (x.reshape(-1, n) @ m_ts[0]).reshape(x.shape)
     parts, lo = [], 0
     for m_t, count in zip(m_ts, counts):
         parts.append(x[lo : lo + count].reshape(-1, n) @ m_t)
         lo += count
-    return np.concatenate(parts).reshape(x.shape)
+    return _join(parts).reshape(x.shape)
 
 
 def _rows_times(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ numbers are interpretable standalone.
 
 Exit codes: 0 success (classified / witness found / bound verified / scan
 clean / selftest pass); 1 negative outcome (no witness within budget, scan
-anomaly, selftest failure); 2 invalid input.
+anomaly, selftest failure); 2 invalid input, or an input too large for memory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import secrets
 import sys
 import time
 
-from . import __version__, classify, jsonio, kernels
+from . import __version__, classify, jsonio
 from .classify import DEFAULT_BUDGET
 from .sampling import rng_from_seed
 from .selftest import run_selftest
@@ -124,7 +124,6 @@ def _envelope(args: argparse.Namespace, result: dict, t0: float) -> dict:
     return {
         "command": args.command,
         "version": __version__,
-        "backend": kernels.backend_name,
         "config": config,
         "notes": {
             "choi_convention": jsonio.CHOI_CONVENTION,
@@ -273,8 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result, lines, code = _COMMANDS[args.command](args)
         _emit(_envelope(args, result, t0), args, lines)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        # a bare MemoryError has no message; NumPy's names the array it could not allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return code
 

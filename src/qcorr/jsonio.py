@@ -282,5 +282,9 @@ def dump(obj: Any, path: str | None) -> str:
 
 
 def load(path: str) -> Any:
+    """The JSON value in a file; nesting deeper than the parser's recursion limit is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None

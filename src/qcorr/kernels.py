@@ -5,7 +5,8 @@ library itself calls eigh, apply_kraus and pair_violation_grad.
 pair_violation, unpack_hermitian, expi_hermitian and entangled_overlap have
 no library caller; they stay because perfbench resolves them by name
 (tracing.TARGETS, micro.KERNELS) and go when the benchmark drops those
-lookups.
+lookups; tests/test_pinned_names.py runs the library with each stubbed out.
+backend_name is read by perfbench's harness alone.
 """
 
 from __future__ import annotations

@@ -158,46 +158,43 @@ def random_completely_decohering(d: int, rng: np.random.Generator) -> ch.KrausCh
     return ch.completely_decohering(haar_unitary(d, rng), random_povm(d, d, rng))
 
 
-def random_isotropic(
-    d: int,
-    rng: np.random.Generator,
-    gamma: str | None = None,
-    margin: float = 0.02,
-) -> ch.KrausChannel:
+# random_isotropic draws p from the CP range shrunk by this fraction of its
+# width at each end, so the Kraus extraction stays well inside PSD territory
+ISOTROPIC_MARGIN = 0.02
+# every weight of a sampled mixture is at least this, so no term is negligible
+MIXTURE_MIN_WEIGHT = 0.1
+BLOCK_MIXTURE_TERMS = 2
+
+
+def random_isotropic(d: int, rng: np.random.Generator, gamma: str | None = None) -> ch.KrausChannel:
     """Isotropic channel with Haar Gamma-unitary and p uniform in the CP range.
 
-    margin shrinks the interval away from the positivity boundaries so the
-    Kraus extraction stays comfortably inside PSD territory.
+    p stays ISOTROPIC_MARGIN times the range's width away from both ends.
     """
     if gamma is None:
         gamma = "unitary" if rng.integers(2) == 0 else "transpose"
     lo, hi = ch.isotropic_p_range(d, gamma)
     width = hi - lo
-    p = float(rng.uniform(lo + margin * width, hi - margin * width))
+    p = float(rng.uniform(lo + ISOTROPIC_MARGIN * width, hi - ISOTROPIC_MARGIN * width))
     return ch.isotropic(d, p, gamma=gamma, u=haar_unitary(d, rng))
 
 
 def random_unital_mixture(
-    d: int,
-    rng: np.random.Generator,
-    n_unitaries: int = 2,
-    min_weight: float = 0.1,
+    d: int, rng: np.random.Generator, n_unitaries: int = 2
 ) -> ch.KrausChannel:
-    """Mixture of >= 2 independent Haar unitaries with non-degenerate weights."""
+    """Mixture of >= 2 independent Haar unitaries, each weight at least MIXTURE_MIN_WEIGHT."""
     if n_unitaries < 2:
         raise ValueError("a generic mixture needs at least two unitaries")
-    w = random_probability(n_unitaries, rng, min_weight=min_weight)
+    w = random_probability(n_unitaries, rng, min_weight=MIXTURE_MIN_WEIGHT)
     return ch.unital_mixture(w, haar_unitaries(d, n_unitaries, rng))
 
 
-def random_block_unitary_mixture(
-    d: int, rng: np.random.Generator, n_blocks: int = 2, min_weight: float = 0.1
-) -> ch.KrausChannel:
-    """Top-state-fixing block mixture with Haar unitaries on the lower block."""
+def random_block_unitary_mixture(d: int, rng: np.random.Generator) -> ch.KrausChannel:
+    """Top-state-fixing mixture of BLOCK_MIXTURE_TERMS Haar unitaries on the lower block."""
     if d < 3:
         raise ValueError("block mixtures need dimension >= 3")
-    w = random_probability(n_blocks, rng, min_weight=min_weight)
-    return ch.block_unitary_mixture(np.sqrt(w), haar_unitaries(d - 1, n_blocks, rng))
+    w = random_probability(BLOCK_MIXTURE_TERMS, rng, min_weight=MIXTURE_MIN_WEIGHT)
+    return ch.block_unitary_mixture(np.sqrt(w), haar_unitaries(d - 1, BLOCK_MIXTURE_TERMS, rng))
 
 
 def random_half_classical(

@@ -977,7 +977,7 @@ class TestMsf:
         # a step costs one evaluation per candidate: two per active start
         # up to MSF_NEWTON_MAX_DIM, one above it
         starts = 4
-        for d in (2, 3, 4):
+        for d in (2, 3, 4, 5):
             st = random_bipartite(d, d, rng_from_seed(70 + d))
             floor = classify.entangled_overlap_direct(st, np.eye(d))
             for budget in (1, starts, starts + 1, 2 * starts, 2 * starts + 1):
@@ -1027,6 +1027,48 @@ class TestMsf:
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):
             classify.msf(random_bipartite(2, 3, rng), rng=rng_from_seed(37))
+
+
+# (d, index, F) of msf on a Hilbert-Schmidt state at the default budget and
+# starts, and (d, index, F before, F after) of verify_msf_bound with a
+# 3-unitary mixture at criterion 7's d = 3 budget; every search converged.
+# Any rewrite of the ascent must reproduce F.  The comments give
+# (iterations, evals), which are reproducible on one NumPy/BLAS build only
+# and so are not asserted.  The d = 4 values were recorded by the polar
+# step alone; with the Newton step the same F took the second pair.
+MSF_GOLDEN = [
+    (3, 0, 0.2374147421207682),  # 13, 566
+    (3, 1, 0.3155241102224036),  # 9, 454
+    (3, 2, 0.2512108097104785),  # 11, 578
+    (4, 0, 0.18549656846688942),  # 86, 2082; 12, 576
+    (4, 1, 0.19033407991978868),  # 102, 2759; 12, 602
+    (4, 2, 0.1705289109850212),  # 360, 6221; 13, 614
+]
+MSF_BOUND_GOLDEN = [
+    (3, 0, 0.2682665214951827, 0.18681377542099095),  # 13, 414 and 11, 438
+    (3, 1, 0.36186316095533366, 0.25028278301185636),  # 8, 344 and 10, 386
+]
+
+
+@pytest.mark.parametrize("d, index, f_value", MSF_GOLDEN, ids=[f"d{d}-{i}" for d, i, _ in MSF_GOLDEN])
+def test_msf_matches_recorded_values(d, index, f_value):
+    st = random_bipartite(d, d, rng_from_seed(5200 + 10 * d + index))
+    res = classify.msf(st, rng=rng_from_seed(5300 + 10 * d + index))
+    assert res.converged
+    assert abs(res.f_value - f_value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, index, before, after", MSF_BOUND_GOLDEN, ids=[f"d{d}-{i}" for d, i, *_ in MSF_BOUND_GOLDEN]
+)
+def test_msf_bound_matches_recorded_values(d, index, before, after):
+    st = random_bipartite(d, d, rng_from_seed(5400 + index))
+    ch = random_unital_mixture(d, rng_from_seed(5500 + index), n_unitaries=3)
+    bound = classify.verify_msf_bound(st, ch, budget=12000, starts=24, rng=rng_from_seed(5600 + index))
+    assert bound.before.converged and bound.after.converged
+    assert abs(bound.before.f_value - before) <= 1e-12
+    assert abs(bound.after.f_value - after) <= 1e-12
+    assert bound.holds
 
 
 def unitary_exp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1117,7 +1159,7 @@ class TestMsfBatch:
 
     STARTS = 4
 
-    @pytest.mark.parametrize("d", [2, 3, 4])  # d = 4 climbs by the polar step alone
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])  # d = 5 climbs by the polar step alone
     @pytest.mark.parametrize("budget", [1, STARTS, STARTS + 1, 2 * STARTS + 1, 2000])
     def test_bound_equals_two_sequential_searches(self, d, budget):
         state = random_bipartite(d, d, rng_from_seed(80 + d))

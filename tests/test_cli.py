@@ -10,7 +10,7 @@ from helpers import amplitude_damping
 
 import qcorr
 from qcorr import channels as chn
-from qcorr import classify, jsonio
+from qcorr import classify, cli, jsonio
 from qcorr.channels import maximally_entangled_ket
 from qcorr.cli import main
 from qcorr.sampling import (
@@ -61,7 +61,9 @@ class TestClassifyCommand:
             capsys, ["classify", "--channel", path, "--seed", "1", "--format", "json"]
         )
         assert code == 0
-        cp = json.loads(out)["result"]["cp"]
+        report = json.loads(out)
+        assert set(report) == {"command", "version", "config", "notes", "timing_s", "result"}
+        cp = report["result"]["cp"]
         assert cp["preserving"] and cp["certified"]
         assert cp["upper_bound"] <= cp["tol"]
         assert cp["evals"] == 0
@@ -232,6 +234,16 @@ class TestMalformedJson:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command, flag", [("classify", "--channel"), ("msf", "--in")])
+    def test_deep_nesting_is_named(self, files, capsys, command, flag):
+        # json's decoder recurses once per array level; the file is 200 kB
+        tmp, _ = files
+        path = tmp / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, [command, flag, str(path), "--seed", "1"])
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_null_entry_is_named(self, files, capsys):
         # NumPy reads JSON null as NaN; the state check must not see it as non-Hermitian
         _, write = files
@@ -254,6 +266,24 @@ class TestUnwritableOut:
         assert code == 2
         assert err.startswith("error:")
         assert stdout == ""
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError(), "MemoryError"), (MemoryError("Unable to allocate 149. GiB"), "149. GiB")],
+    )
+    def test_exit_2(self, capsys, monkeypatch, exc, message):
+        # an input too large for memory is refused like any invalid input; the
+        # command raises here instead of allocating
+        def scan(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "scan", scan)
+        code, out, err = run(capsys, ["scan", "--dim", "100000", "--samples", "1", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestWitnessCommand:

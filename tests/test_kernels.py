@@ -37,7 +37,8 @@ class TestReferencePaths:
         u0 = haar_unitary(d, rng)
         for _ in range(10):
             theta = rng.standard_normal(d * d)
-            direct = classify.pair_violation_direct(ch, *classify.pair_from_coords(theta, u0))
+            w = u0 @ kernels.expi_hermitian(kernels.unpack_hermitian(theta, d))
+            direct = classify.pair_violation_direct(ch, w[:, 0], w[:, 1])
             assert kernels.pair_violation(theta, u0, ch.ops) == pytest.approx(direct, abs=1e-12)
 
     def test_entangled_overlap(self, d, rng):
