@@ -805,15 +805,18 @@ MSF_ROUNDING = 16 * np.finfo(float).eps
 MSF_SLACK = 1e-6
 MSF_ESCAPE_RADIUS = 1.0
 MSF_FLAT_FRACTION = 0.02
+# A start within this much of its state's best start, in 1 - |tr(U_best^dag U)|/d
+# (0 up to a phase), climbs to the same maximum and is retired (d >= 3).
+MSF_MERGE_TOL = 1e-10
 # The Newton step costs O(d^6) per start (its (d^2 - 1)-square Hessian and
 # eigh) against O(d^4) for the polar step.  Timed on a 2-vCPU x86-64
 # machine with one OpenBLAS thread, its fewer steps pay for that up to
 # d = 4: there the median verify_msf_bound on a Hilbert-Schmidt state and
-# its image under a 3-unitary mixture fell 70 -> 40 ms, and msf on
-# Hilbert-Schmidt states 28 -> 17 ms.  At d = 5 msf on those states is
-# about even (slower on 5 of 8 states in one run, 3 of 8 in another) and
-# from d = 6 on it is slower, so from d = 5 on msf climbs by the polar
-# step alone.
+# its image under a 3-unitary mixture fell 45 -> 32 ms, and msf on
+# Hilbert-Schmidt states 23 -> 16 ms.  At d = 5 the bound check is faster
+# with Newton (114 -> 98 ms) but msf is slower (42 -> 47 ms, on 5 of 8
+# states), and at d = 6 msf is slower still (65 -> 111 ms), so from d = 5
+# on msf climbs by the polar step alone.
 MSF_NEWTON_MAX_DIM = 4
 
 
@@ -869,12 +872,13 @@ class MsfResult:
     bracket closed (the best start came within MSF_STEP_TOL plus
     MSF_ROUNDING |f_upper| of f_upper, which at d >= 3 happens only where
     the bound is tight, as on pure states) or every start met the stopping
-    rule (a step gaining at most MSF_STEP_TOL).  evals counts
-    objective-and-gradient evaluations summed over this state's starts,
-    one per candidate: two per active start per step (the polar and the
-    Newton candidate) for d <= MSF_NEWTON_MAX_DIM, one above, however a
-    candidate is computed (the polar factor is a closed form at d = 2).
-    iterations counts the steps of this state's longest-running start.  When several
+    rule (a step gaining at most MSF_STEP_TOL) or retired (_retired).
+    evals counts objective-and-gradient evaluations summed over this
+    state's starts, one per candidate evaluated: per active start and step
+    the Newton candidate for d <= MSF_NEWTON_MAX_DIM (the polar one above),
+    plus the polar one where it is the fallback, however a candidate is
+    computed (the polar factor is a closed form at d = 2).  iterations
+    counts the steps of this state's longest-running start.  When several
     states climb in one batch (msf_batch), evals, iterations, converged
     and the budget they are measured against are each state's own.
     """
@@ -964,7 +968,9 @@ def _newton_candidates(
     within MSF_FLAT_FRACTION of the largest |curvature| of zero counts as
     flat and takes the gradient component over that floor instead: there
     the quadratic model says nothing about the step length, and both full
-    steps overshoot.  The step norm is capped at MSF_ESCAPE_RADIUS.
+    steps overshoot.  The step norm is capped at MSF_ESCAPE_RADIUS.  The
+    step need not gain: msf_batch scores it first and falls back on the
+    polar candidate, which never loses, where it does not.
     """
     a, d, _ = u.shape
     basis = _traceless_basis(d)
@@ -981,6 +987,26 @@ def _newton_candidates(
     h = _rows_times((vecs @ step[..., None])[..., 0], basis.reshape(k, d * d)).reshape(a, d, d)
     eye = np.eye(d)
     return u @ np.linalg.solve(eye - 0.5j * h, eye + 0.5j * h)
+
+
+def _retired(
+    u: np.ndarray, f: np.ndarray, rows: np.ndarray, gain: np.ndarray, left: int
+) -> np.ndarray:
+    """Which starts rows of one state stop climbing although their last step gained.
+
+    u (n, d, d) and f (n,) are the state's starts; rows indexes the ones
+    still climbing and gain holds their last step's gains.  A start other
+    than the best (the first argmax of f) retires when it has merged with
+    the best, 1 - |tr(U_best^dag U)|/d <= MSF_MERGE_TOL, or when f + gain
+    left, its last gain kept up for the state's left evaluations, stays
+    below the best's f.  The best start itself always climbs on.
+    """
+    best = int(np.argmax(f))
+    d = u.shape[-1]
+    overlap = np.abs(u[rows].reshape(rows.size, d * d) @ u[best].reshape(d * d).conj()) / d
+    merged = 1 - overlap <= MSF_MERGE_TOL
+    short = f[rows] + gain * left < f[best]
+    return (rows != best) & (merged | short)
 
 
 def msf(
@@ -1008,31 +1034,40 @@ def msf_batch(
     """msf of several d x d states, climbed together in one batch.
 
     f(U) = vec(U)^dag M vec(U) is a PSD quadratic form in the entries of U,
-    with one M per state.  Each step evaluates the polar factor of the
+    with one M per state.  The polar step takes the polar factor of the
     gradient G = M U, which never lowers f (it maximizes the linear
-    minorant 2 Re<V, G> - f(U)).  For d <= MSF_NEWTON_MAX_DIM it also
-    evaluates a Riemannian Newton step with saddle escape
-    (_newton_candidates), which converges quadratically near a maximum, and
-    keeps the better of the two.  A step that would lower f is not taken.
+    minorant 2 Re<V, G> - f(U)); above MSF_NEWTON_MAX_DIM every step is
+    one.  For d <= MSF_NEWTON_MAX_DIM a step first evaluates a Riemannian
+    Newton step with saddle escape (_newton_candidates), which converges
+    quadratically near a maximum, and evaluates the polar candidate only
+    for the starts whose Newton candidate gains at most MSF_STEP_TOL,
+    keeping the better of the two there.  A step that would lower f is not
+    taken.
 
     Each state has min(starts, budget) starts: start 0 is U = I and the
     others are Haar draws from one haar_unitaries call, the first state's
     draws first, so the results and rng's final state equal those of one
     msf call per state, in order.  Every start still climbing, of every
-    state, steps in one batch: one linalg.polar_factors call (a closed
-    form at d = 2, one batched SVD above), for d <= MSF_NEWTON_MAX_DIM one
-    Newton model with its (d^2 - 1)-square eigh and one Cayley solve, and
-    one gradient product per state on its contiguous block of starts.  The
-    stops and the budget are each state's own, as if it climbed alone.  A
-    start leaves the batch once a step gains at most MSF_STEP_TOL, and a
-    state's ascent ends, every start counted converged, once its bracket
-    closes: its best start is within MSF_STEP_TOL plus MSF_ROUNDING
-    |f_upper| (the rounding of the two evaluations) of f_upper =
-    entangled_fraction_upper(state).  f_upper is exact at d = 2, so there
-    the ascent stops as soon as a start reaches the maximum.  budget caps a
-    state's evaluations summed over its starts, one per candidate: when it
-    runs short, the polar candidates come first.  budget and starts must be
-    at least 1, because start 0 is always evaluated.
+    state, steps in one batch: for d <= MSF_NEWTON_MAX_DIM one Newton
+    model with its (d^2 - 1)-square eigh and one Cayley solve, then one
+    linalg.polar_factors call (a closed form at d = 2, one batched SVD
+    above) on the starts that fall back; above it one polar_factors call.
+    Each set of candidates takes one gradient product per state on its
+    contiguous block of starts.  The stops and the budget are each state's
+    own, as if it climbed alone.  A start leaves the batch once a step
+    gains at most MSF_STEP_TOL, and a state's ascent ends, every start
+    counted converged, once its bracket closes: its best start is within
+    MSF_STEP_TOL plus MSF_ROUNDING |f_upper| (the rounding of the two
+    evaluations) of f_upper = entangled_fraction_upper(state).  f_upper is
+    exact at d = 2, so there the ascent stops as soon as a start reaches
+    the maximum.  Above d = 2 it rarely closes, so for 3 <= d <=
+    MSF_NEWTON_MAX_DIM a start that can no longer raise its state's F also
+    leaves after each step, counted converged (_retired); the best start
+    climbs on to its own stop.  budget caps a state's evaluations summed
+    over its starts, one per candidate evaluated: when it runs short, the
+    first candidate of every start comes first, and a start whose polar
+    fallback no longer fits stops, not converged.  budget and starts must
+    be at least 1, because start 0 is always evaluated.
     """
     states = tuple(states)
     if not states:
@@ -1062,60 +1097,73 @@ def msf_batch(
     closed = [f[b].max() >= c for b, c in zip(blocks, close_at)]
     converged = np.zeros(k * n_starts, dtype=bool)
     use_newton = d <= MSF_NEWTON_MAX_DIM
+    # F_upper is exact only at d = 2, so above it the bracket rarely closes
+    retire = use_newton and d >= 3
     while True:
-        # (state, its starts stepping now, how many of them also get a Newton candidate)
-        climbing, ms, sizes = [], [], []
+        climbing = []  # (state, its starts stepping now)
         for s in range(k):
             left = budget - evals[s]
             if active[s].size and left > 0 and not closed[s]:
-                act = active[s][:left]
-                nn = min(act.size, left - act.size) if use_newton else 0
-                climbing.append((s, act, nn))
-                ms.append(m_ts[s])
-                sizes.append(act.size + nn)
+                climbing.append((s, active[s][:left]))
         if not climbing:
             break
-        rows = _join([act for _, act, _ in climbing])
-        polar = linalg.polar_factors(g[rows])
-        # the candidates, state by state: its polar candidates, then its Newton ones
-        pieces = [polar]
+        rows = _join([act for _, act in climbing])
+        ms = [m_ts[s] for s, _ in climbing]
+        sizes = [act.size for _, act in climbing]
         if use_newton:
-            newton_rows = _join([act[:nn] for _, act, nn in climbing])
-            if newton_rows.size:
-                newton = _newton_candidates(
-                    u[newton_rows], g[newton_rows], ms, [nn for *_, nn in climbing]
-                )
-                pieces, r, q = [], 0, 0
-                for _, act, nn in climbing:
-                    pieces += [polar[r : r + act.size], newton[q : q + nn]]
-                    r, q = r + act.size, q + nn
-        cand = _join(pieces)
+            cand = _newton_candidates(u[rows], g[rows], ms, sizes)
+        else:
+            cand = linalg.polar_factors(g[rows])
         g_cand = _times_m(cand, ms, sizes)
         f_cand = np.einsum("kai,kai->k", cand.conj(), g_cand).real
-        # index into cand of the better candidate per start: the Newton one where it gains more
-        pick = np.arange(rows.size)
-        c = r = 0
-        for _, act, nn in climbing:
-            if c > r:
-                pick[r : r + act.size] += c - r
-            if nn:
-                better = f_cand[c + act.size : c + act.size + nn] > f_cand[c : c + nn]
-                pick[r : r + nn][better] += act.size
-            c, r = c + act.size + nn, r + act.size
-        gain = f_cand[pick] - f[rows]
+        gain = f_cand - f[rows]
+        spent = list(sizes)
+        # a start whose Newton candidate does not gain falls back on the polar
+        # one while its state's budget lasts; a start starved of it is not done
+        starved = np.zeros(rows.size, dtype=bool)
+        if use_newton:
+            lost = gain <= MSF_STEP_TOL
+            tries, fb_ms, fb_sizes, r = [], [], [], 0
+            for i, (s, act) in enumerate(climbing):
+                idx = r + np.flatnonzero(lost[r : r + act.size])
+                fits = idx[: budget - evals[s] - act.size]
+                starved[idx[fits.size :]] = True
+                if fits.size:
+                    tries.append(fits)
+                    fb_ms.append(ms[i])
+                    fb_sizes.append(fits.size)
+                    spent[i] += fits.size
+                r += act.size
+            if tries:
+                idx = _join(tries)
+                polar = linalg.polar_factors(g[rows[idx]])
+                g_polar = _times_m(polar, fb_ms, fb_sizes)
+                f_polar = np.einsum("kai,kai->k", polar.conj(), g_polar).real
+                better = f_polar > f_cand[idx]
+                idx = idx[better]
+                cand[idx], g_cand[idx], f_cand[idx] = polar[better], g_polar[better], f_polar[better]
+                gain[idx] = f_polar[better] - f[rows[idx]]
         take = gain >= 0
-        dst, src = rows[take], pick[take]
-        u[dst] = cand[src]
-        g[dst] = g_cand[src]
-        f[dst] = f_cand[src]
-        done = gain <= MSF_STEP_TOL
+        dst = rows[take]
+        u[dst] = cand[take]
+        g[dst] = g_cand[take]
+        f[dst] = f_cand[take]
+        done = (gain <= MSF_STEP_TOL) & ~starved
         converged[rows[done]] = True
         r = 0
-        for s, act, nn in climbing:
-            active[s] = act[~done[r : r + act.size]]
-            evals[s] += act.size + nn
+        for (s, act), n_evals in zip(climbing, spent):
+            keep = ~done[r : r + act.size]
+            active[s] = act[keep]
+            evals[s] += n_evals
             iterations[s] += 1
-            closed[s] = f[blocks[s]].max() >= close_at[s]
+            b = blocks[s]
+            closed[s] = f[b].max() >= close_at[s]
+            if retire and active[s].size and not closed[s]:
+                out = _retired(
+                    u[b], f[b], active[s] - b.start, gain[r : r + act.size][keep], budget - evals[s]
+                )
+                converged[active[s][out]] = True
+                active[s] = active[s][~out]
             r += act.size
 
     results = []

@@ -974,8 +974,8 @@ class TestMsf:
         assert res.converged
 
     def test_budget_accounting(self):
-        # a step costs one evaluation per candidate: two per active start
-        # up to MSF_NEWTON_MAX_DIM, one above it
+        # a step costs one evaluation per candidate evaluated: one per
+        # active start, plus one per polar fallback up to MSF_NEWTON_MAX_DIM
         starts = 4
         for d in (2, 3, 4, 5):
             st = random_bipartite(d, d, rng_from_seed(70 + d))
@@ -1034,8 +1034,10 @@ class TestMsf:
 # 3-unitary mixture at criterion 7's d = 3 budget; every search converged.
 # Any rewrite of the ascent must reproduce F.  The comments give
 # (iterations, evals), which are reproducible on one NumPy/BLAS build only
-# and so are not asserted.  The d = 4 values were recorded by the polar
-# step alone; with the Newton step the same F took the second pair.
+# and so are not asserted; evals counted two per start and step when they
+# were recorded.  The d = 4 values were recorded by the polar step alone;
+# with the Newton step the same F took the second pair.  Bound checks 2 and
+# 31 have a side whose lower starts crawled over flat lower maxima.
 MSF_GOLDEN = [
     (3, 0, 0.2374147421207682),  # 13, 566
     (3, 1, 0.3155241102224036),  # 9, 454
@@ -1047,6 +1049,8 @@ MSF_GOLDEN = [
 MSF_BOUND_GOLDEN = [
     (3, 0, 0.2682665214951827, 0.18681377542099095),  # 13, 414 and 11, 438
     (3, 1, 0.36186316095533366, 0.25028278301185636),  # 8, 344 and 10, 386
+    (3, 2, 0.26297847488330184, 0.2192157598204772),  # 13, 420 and 24, 434
+    (3, 31, 0.2566370235219714, 0.21455658028176375),  # 28, 652 and 9, 388
 ]
 
 
@@ -1069,6 +1073,61 @@ def test_msf_bound_matches_recorded_values(d, index, before, after):
     assert abs(bound.before.f_value - before) <= 1e-12
     assert abs(bound.after.f_value - after) <= 1e-12
     assert bound.holds
+
+
+def test_newton_candidates_that_lose_fall_back_on_the_polar_step(monkeypatch):
+    # every evaluation is a Newton candidate, a polar fallback or a start
+    calls = {"newton": 0, "polar": 0}
+    newton, polar = classify._newton_candidates, linalg.polar_factors
+
+    def counted(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            calls[name] += len(out)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(classify, "_newton_candidates", counted("newton", newton))
+    monkeypatch.setattr(linalg, "polar_factors", counted("polar", polar))
+    d, index, f_value = MSF_GOLDEN[0]
+    st = random_bipartite(d, d, rng_from_seed(5200 + 10 * d + index))
+    res = classify.msf(st, rng=rng_from_seed(5300 + 10 * d + index))
+    assert calls["polar"] > 0
+    assert res.evals == classify.DEFAULT_STARTS + calls["newton"] + calls["polar"]
+    assert res.converged
+    assert abs(res.f_value - f_value) <= 1e-12
+
+
+class TestRetired:
+    """The rule that stops a start which can no longer raise its state's F."""
+
+    def stack(self, n=4, d=3):
+        u = np.stack([haar_unitary(d, rng_from_seed(0xD0 + i)) for i in range(n)])
+        return u, np.array([0.5, 0.25, 0.25, 0.25])
+
+    def test_best_start_is_never_retired(self):
+        u, f = self.stack()
+        rows = np.arange(4)
+        # no gain left, and merged with itself, yet the best climbs on
+        out = classify._retired(u, f, rows, np.zeros(4), 0)
+        assert not out[0]
+        assert out[1:].all()
+
+    def test_start_equal_to_the_best_up_to_a_phase_is_retired(self):
+        u, f = self.stack()
+        u[2] = np.exp(0.7j) * u[0]
+        rows = np.array([1, 2, 3])
+        # the gains would reach the best's f; only start 2 has merged with it
+        out = classify._retired(u, f, rows, np.ones(3), 10)
+        assert out.tolist() == [False, True, False]
+
+    def test_lower_start_is_kept_while_its_gain_can_reach_the_best(self):
+        u, f = self.stack()
+        rows = np.array([1])
+        # 0.25 + 2**-10 * 256 = 0.5 exactly: the best's f is reachable
+        assert not classify._retired(u, f, rows, np.array([2.0**-10]), 256)[0]
+        assert classify._retired(u, f, rows, np.array([2.0**-10]), 255)[0]
 
 
 def unitary_exp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
