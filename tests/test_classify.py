@@ -1037,7 +1037,8 @@ class TestMsf:
 # and so are not asserted; evals counted two per start and step when they
 # were recorded.  The d = 4 values were recorded by the polar step alone;
 # with the Newton step the same F took the second pair.  Bound checks 2 and
-# 31 have a side whose lower starts crawled over flat lower maxima.
+# 31 have a side that ran 24 and 28 steps while starts below the best
+# crawled over flat lower maxima, which retiring those starts cuts short.
 MSF_GOLDEN = [
     (3, 0, 0.2374147421207682),  # 13, 566
     (3, 1, 0.3155241102224036),  # 9, 454
