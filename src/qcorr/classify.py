@@ -992,14 +992,14 @@ def _newton_candidates(
 def _retired(
     u: np.ndarray, f: np.ndarray, rows: np.ndarray, gain: np.ndarray, left: int
 ) -> np.ndarray:
-    """Which starts rows of one state stop climbing although their last step gained.
+    """A mask over rows: the starts of one state that stop climbing though they still gain.
 
     u (n, d, d) and f (n,) are the state's starts; rows indexes the ones
     still climbing and gain holds their last step's gains.  A start other
     than the best (the first argmax of f) retires when it has merged with
-    the best, 1 - |tr(U_best^dag U)|/d <= MSF_MERGE_TOL, or when f + gain
-    left, its last gain kept up for the state's left evaluations, stays
-    below the best's f.  The best start itself always climbs on.
+    the best, 1 - |tr(U_best^dag U)|/d <= MSF_MERGE_TOL, or when
+    f + gain * left, its last gain kept up for the state's left
+    evaluations, stays below the best's f.  The best start always climbs on.
     """
     best = int(np.argmax(f))
     d = u.shape[-1]
